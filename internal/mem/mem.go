@@ -87,8 +87,16 @@ func (g *Global) Store32(addr, v uint32) error {
 
 // grow extends the backing store to hold at least need bytes, doubling to
 // amortize the copy; total zeroing over a run stays O(bytes touched).
+// Doubling stops at the allocator frontier when the store lies below it:
+// a benchmark writes its allocations as it makes them, and the last
+// doubling would otherwise back up to twice the memory it ever uses. The
+// step past len stays at least a half, so copies remain amortized when
+// allocations arrive in small pieces.
 func (g *Global) grow(need int) {
 	newLen := len(g.data) * 2
+	if brk := int(g.brk); need <= brk && newLen > brk {
+		newLen = max(brk, len(g.data)+len(g.data)/2)
+	}
 	if newLen < need {
 		newLen = need
 	}
@@ -204,11 +212,19 @@ func CoalesceSegments(addrs *[isa.WarpSize]uint32, mask uint32) int {
 // Pipe is the global-memory timing model: transactions issue at one per
 // cycle, each completes after Latency cycles, and at most MaxInflight may be
 // outstanding.
+//
+// Outstanding completion cycles live in a fixed ring of MaxInflight slots.
+// Every transaction starts at or after the previous one's start + 1 (the
+// issue port frees one cycle after the last transaction it accepted), so
+// completions are appended in strictly ascending order: the ring is always
+// sorted, reaping only ever drops a prefix, and both reaping and RoomAt are
+// O(1) per call amortized.
 type Pipe struct {
 	Latency     int
 	MaxInflight int
 
-	inflight []uint64 // completion cycles of outstanding transactions
+	ring     []uint64 // completion cycles, oldest at head; len MaxInflight
+	head, n  int      // oldest slot and count of outstanding transactions
 	nextFree uint64   // next cycle the issue port is free
 	txns     uint64
 }
@@ -218,17 +234,23 @@ func NewPipe(latency, maxInflight int) *Pipe {
 	if latency < 1 || maxInflight < 1 {
 		panic("mem: pipe needs latency >= 1 and capacity >= 1")
 	}
-	return &Pipe{Latency: latency, MaxInflight: maxInflight}
+	return &Pipe{Latency: latency, MaxInflight: maxInflight, ring: make([]uint64, maxInflight)}
+}
+
+// Reset empties the pipe for a fresh launch, keeping the ring's storage.
+func (p *Pipe) Reset() {
+	p.head, p.n, p.nextFree, p.txns = 0, 0, 0, 0
 }
 
 // TryIssue attempts to issue `txns` transactions at cycle now; on success it
-// returns the cycle the last transaction's data is available.
+// returns the cycle the last transaction's data is available. Calls must be
+// made with non-decreasing now.
 func (p *Pipe) TryIssue(now uint64, txns int) (ready uint64, ok bool) {
 	if txns <= 0 {
 		return now, true
 	}
 	p.reap(now)
-	if len(p.inflight)+txns > p.MaxInflight {
+	if p.n+txns > p.MaxInflight {
 		return 0, false
 	}
 	start := now
@@ -238,23 +260,49 @@ func (p *Pipe) TryIssue(now uint64, txns int) (ready uint64, ok bool) {
 	last := start + uint64(txns-1)
 	p.nextFree = last + 1
 	ready = last + uint64(p.Latency)
+	tail := p.head + p.n
 	for i := 0; i < txns; i++ {
-		p.inflight = append(p.inflight, start+uint64(i)+uint64(p.Latency))
+		if tail >= p.MaxInflight {
+			tail -= p.MaxInflight
+		}
+		p.ring[tail] = start + uint64(i) + uint64(p.Latency)
+		tail++
 	}
+	p.n += txns
 	p.txns += uint64(txns)
 	return ready, true
+}
+
+// RoomAt returns the first cycle at which a request of `txns` transactions
+// fits the pipe, assuming nothing else issues meanwhile: 0 when it fits
+// already, math.MaxUint64 when it can never fit (txns > MaxInflight). The
+// request fits once the oldest n+txns-MaxInflight outstanding transactions
+// have completed, and the ring is sorted, so that is one slot's value.
+func (p *Pipe) RoomAt(txns int) uint64 {
+	over := p.n + txns - p.MaxInflight
+	switch {
+	case over <= 0:
+		return 0
+	case txns > p.MaxInflight:
+		return math.MaxUint64
+	}
+	i := p.head + over - 1
+	if i >= p.MaxInflight {
+		i -= p.MaxInflight
+	}
+	return p.ring[i]
 }
 
 // Transactions returns the total transactions issued.
 func (p *Pipe) Transactions() uint64 { return p.txns }
 
-// reap drops completed transactions.
+// reap drops completed transactions: a prefix of the sorted ring.
 func (p *Pipe) reap(now uint64) {
-	out := p.inflight[:0]
-	for _, c := range p.inflight {
-		if c > now {
-			out = append(out, c)
+	for p.n > 0 && p.ring[p.head] <= now {
+		p.head++
+		if p.head == p.MaxInflight {
+			p.head = 0
 		}
+		p.n--
 	}
-	p.inflight = out
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +50,49 @@ func TestAllocAlignment(t *testing.T) {
 	}
 	if _, err := g.Alloc(-1); err == nil {
 		t.Fatal("negative alloc accepted")
+	}
+}
+
+// TestGlobalGrowthStopsAtFrontier: writing allocations as they are made
+// (the pattern of every benchmark build) backs at most half as much again
+// as the allocator frontier instead of up to twice it, and many small
+// allocations still grow the backing geometrically.
+func TestGlobalGrowthStopsAtFrontier(t *testing.T) {
+	g := NewGlobal(64 << 20)
+	for _, n := range []int{1 << 20, 1 << 20, 96 << 10} {
+		a, err := g.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Store32(a+uint32(n)-4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if brk := int(g.brk); len(g.data) > brk+brk/2 {
+		t.Fatalf("backing %d bytes for a %d-byte frontier", len(g.data), brk)
+	}
+
+	g = NewGlobal(64 << 20)
+	grows, last := 0, 0
+	for i := 0; i < 20000; i++ {
+		a, err := g.Alloc(SegmentBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Store32(a, uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+		if len(g.data) != last {
+			grows, last = grows+1, len(g.data)
+		}
+	}
+	if grows > 40 {
+		t.Fatalf("%d reallocations for 20000 small allocations; growth is not geometric", grows)
+	}
+	for i := 0; i < 20000; i++ {
+		if v, _ := g.Load32(uint32(i * SegmentBytes)); v != uint32(i) {
+			t.Fatalf("word %d = %d after growth", i, v)
+		}
 	}
 }
 
@@ -189,6 +234,93 @@ func TestPipeZeroTxns(t *testing.T) {
 	r, ok := p.TryIssue(42, 0)
 	if !ok || r != 42 {
 		t.Fatal("zero transactions should complete immediately")
+	}
+}
+
+// refPipe is the original slice-filter memory pipe: every issue attempt
+// re-filters the whole outstanding list. It is the reference model the
+// ring-based Pipe must agree with call for call.
+type refPipe struct {
+	latency, maxInflight int
+	inflight             []uint64
+	nextFree, txns       uint64
+}
+
+func (p *refPipe) tryIssue(now uint64, txns int) (uint64, bool) {
+	if txns <= 0 {
+		return now, true
+	}
+	out := p.inflight[:0]
+	for _, c := range p.inflight {
+		if c > now {
+			out = append(out, c)
+		}
+	}
+	p.inflight = out
+	if len(p.inflight)+txns > p.maxInflight {
+		return 0, false
+	}
+	start := now
+	if p.nextFree > start {
+		start = p.nextFree
+	}
+	last := start + uint64(txns-1)
+	p.nextFree = last + 1
+	for i := 0; i < txns; i++ {
+		p.inflight = append(p.inflight, start+uint64(i)+uint64(p.latency))
+	}
+	p.txns += uint64(txns)
+	return last + uint64(p.latency), true
+}
+
+// firstAccept is the first cycle >= now at which the reference accepts a
+// request of k transactions when nothing else issues (probed on a copy).
+func (p *refPipe) firstAccept(now uint64, k int) uint64 {
+	c := *p
+	c.inflight = append([]uint64(nil), p.inflight...)
+	for t := now; ; t++ {
+		if _, ok := c.tryIssue(t, k); ok {
+			return t
+		}
+	}
+}
+
+// TestPipeMatchesReference drives the ring pipe and the reference with the
+// same random sequences — non-decreasing cycles, 0..32 transactions, small
+// capacities (some below a full warp's 32 segments) — and requires identical
+// (ready, ok) results and transaction totals. Before every call, RoomAt(k)
+// must name exactly the first cycle at which the reference would accept k.
+func TestPipeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		latency, capacity := 1+rng.Intn(24), 1+rng.Intn(40)
+		p := NewPipe(latency, capacity)
+		ref := &refPipe{latency: latency, maxInflight: capacity}
+		now := uint64(rng.Intn(8))
+		for op := 0; op < 300; op++ {
+			if rng.Intn(100) == 0 {
+				p.Reset()
+				ref = &refPipe{latency: latency, maxInflight: capacity}
+			}
+			now += uint64(rng.Intn(4))
+			k := rng.Intn(isa.WarpSize + 1)
+			at := p.RoomAt(k)
+			if k > capacity {
+				if at != math.MaxUint64 {
+					t.Fatalf("trial %d: RoomAt(%d) = %d with capacity %d, want never", trial, k, at, capacity)
+				}
+			} else if want := ref.firstAccept(now, k); max(at, now) != want {
+				t.Fatalf("trial %d op %d: RoomAt(%d) = %d at cycle %d, reference first accepts at %d", trial, op, k, at, now, want)
+			}
+			r1, ok1 := p.TryIssue(now, k)
+			r2, ok2 := ref.tryIssue(now, k)
+			if r1 != r2 || ok1 != ok2 {
+				t.Fatalf("trial %d op %d: TryIssue(%d, %d) = (%d, %v), reference (%d, %v)", trial, op, now, k, r1, ok1, r2, ok2)
+			}
+			if p.Transactions() != ref.txns {
+				t.Fatalf("trial %d op %d: %d transactions, reference %d", trial, op, p.Transactions(), ref.txns)
+			}
+		}
 	}
 }
 

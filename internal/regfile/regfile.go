@@ -10,6 +10,7 @@ package regfile
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -434,6 +435,50 @@ func (f *File) Tick(now uint64) {
 		if f.cfg.DrowsyAfter > 0 && b.state == stateOn && now-b.lastTouch > uint64(f.cfg.DrowsyAfter) {
 			b.drowsyCycles++
 			f.drowsyBankCycles++
+		}
+	}
+}
+
+// NextWake returns the cycle at which the earliest waking bank turns on —
+// the next time Tick changes a bank's power state by itself — or
+// math.MaxUint64 when no bank is waking.
+func (f *File) NextWake() uint64 {
+	next := uint64(math.MaxUint64)
+	if f.numWaking == 0 {
+		return next
+	}
+	for i := range f.banks {
+		if b := &f.banks[i]; b.state == stateWaking && b.wakeReady < next {
+			next = b.wakeReady
+		}
+	}
+	return next
+}
+
+// TickSpan advances power accounting over cycles from..to inclusive, with
+// the same effect as one Tick per cycle, provided no bank is accessed and
+// none finishes waking in the window (to < NextWake()). The powered-bank
+// count is then constant, and a powered bank is drowsy in exactly the
+// window cycles later than lastTouch + DrowsyAfter.
+func (f *File) TickSpan(from, to uint64) {
+	if from > to {
+		return
+	}
+	n := to - from + 1
+	f.cycles += n
+	f.poweredBankCycles += n * uint64(NumBanks-f.numGated)
+	if f.cfg.DrowsyAfter <= 0 {
+		return
+	}
+	for i := range f.banks {
+		b := &f.banks[i]
+		if b.state != stateOn {
+			continue
+		}
+		lo := max(from, b.lastTouch+uint64(f.cfg.DrowsyAfter)+1)
+		if lo <= to {
+			b.drowsyCycles += to - lo + 1
+			f.drowsyBankCycles += to - lo + 1
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package regfile
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +152,64 @@ func TestNoGatingWhenDisabled(t *testing.T) {
 	f.Tick(3)
 	if s := f.Snapshot(); s.PoweredBankCycles != NumBanks {
 		t.Fatalf("powered cycles %d, want %d", s.PoweredBankCycles, NumBanks)
+	}
+}
+
+// TestTickSpanMatchesTick: bulk-ticking a quiet window must leave every
+// counter exactly where one Tick per cycle leaves it — across gated,
+// waking and powered banks, drowsy thresholds that fall before, inside and
+// after the window, and windows that end just before a bank wakes.
+func TestTickSpanMatchesTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		cfg := Config{GatingEnabled: rng.Intn(2) == 0, WakeupLatency: rng.Intn(30), DrowsyAfter: rng.Intn(3) * rng.Intn(40)}
+		a, b := New(cfg), New(cfg)
+		// Identical random history on both files.
+		now := uint64(1)
+		for op := 0; op < 60; op++ {
+			now += uint64(rng.Intn(5))
+			id := rng.Intn(64)
+			enc := core.Encoding(rng.Intn(int(core.NumEncodings)))
+			var buf [BanksPerCluster]int
+			for _, f := range []*File{a, b} {
+				for _, bank := range f.WriteBanks(id, enc, ^uint32(0), true, buf[:0]) {
+					f.BankReady(bank, now)
+					f.CountWrite(bank, now)
+				}
+				f.CommitWrite(id, enc, true, now)
+				f.Tick(now)
+			}
+		}
+		// A quiet window: per-cycle ticks on a, one span on b.
+		from := now + 1
+		to := from + uint64(rng.Intn(120))
+		if w := a.NextWake(); w <= to {
+			to = w - 1
+		}
+		for c := from; c <= to; c++ {
+			a.Tick(c)
+		}
+		b.TickSpan(from, to)
+		if a.Snapshot() != b.Snapshot() || a.banks != b.banks {
+			t.Fatalf("trial %d (%+v, window %d..%d): TickSpan diverged from per-cycle Tick\n tick: %+v\n span: %+v",
+				trial, cfg, from, to, a.Snapshot(), b.Snapshot())
+		}
+	}
+}
+
+func TestNextWake(t *testing.T) {
+	f := gatedFile()
+	if got := f.NextWake(); got != math.MaxUint64 {
+		t.Fatalf("no waking bank: NextWake = %d, want never", got)
+	}
+	f.BankReady(3, 100)
+	f.BankReady(7, 95)
+	if got := f.NextWake(); got != 105 {
+		t.Fatalf("NextWake = %d, want 105 (bank 7 woken at 95)", got)
+	}
+	f.Tick(105)
+	if got := f.NextWake(); got != 110 {
+		t.Fatalf("after bank 7 turned on: NextWake = %d, want 110", got)
 	}
 }
 

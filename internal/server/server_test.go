@@ -217,6 +217,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown preset", `{"benchmark": "zz-srv", "preset": "turbo"}`},
 		{"unknown config field", `{"benchmark": "zz-srv", "config": {"NumSMz": 2}}`},
 		{"invalid config", submitBody(`"MaxWarpsPerSM": -1`)},
+		{"memory pipe below one warp access", submitBody(`"GlobalMaxInflight": 16`)},
 		{"unknown top-level field", `{"benchmark": "zz-srv", "cfg": {}}`},
 		{"negative sm_parallel", `{"benchmark": "zz-srv", "sm_parallel": -2}`},
 		{"unknown compression scheme", `{"benchmark": "zz-srv", "compression_scheme": "zstd"}`},

@@ -9,20 +9,10 @@ import (
 	"repro/internal/isa"
 )
 
-// TestSteadyStateStepAllocFree pins down the tentpole property of the
-// scratch-arena work: once the pools are warm, an SM cycle (pipeline
-// advance + issue + register-file tick) performs zero heap allocations.
-func TestSteadyStateStepAllocFree(t *testing.T) {
-	c := testConfig()
-	c.NumSMs = 1
-	g, err := New(c)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	// A long uniform loop touching the ALU, the compressor path and global
-	// memory in both directions, so the measured steps exercise the full
-	// issue/execute/writeback machinery.
-	src := `
+// steadySrc is a long uniform loop touching the ALU, the compressor path
+// and global memory in both directions, so the measured steps exercise the
+// full issue/execute/writeback machinery.
+const steadySrc = `
 	mov  r0, %tid.x
 	shl  r1, r0, 2
 	mov  r2, 0
@@ -35,48 +25,117 @@ Lloop:
 @p0	bra Lloop
 	exit
 `
-	k, err := asm.Assemble("steady", src)
-	if err != nil {
-		t.Fatalf("Assemble: %v", err)
-	}
-	if err := cfg.ComputeReconvergence(k); err != nil {
-		t.Fatalf("ComputeReconvergence: %v", err)
-	}
-	l := isa.Launch{Kernel: k, Grid: isa.Dim3{X: 4}, Block: isa.Dim3{X: 64}}
-	if err := l.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 
-	sm := g.sms[0]
-	sm.reset(l)
-	nextCTA := 0
-	cycle := uint64(0)
-	step := func() {
-		cycle++
-		if nextCTA < l.NumCTAs() && sm.tryLaunchCTA(nextCTA) {
-			nextCTA++
-		}
-		sm.step(cycle)
-		if sm.err != nil {
-			t.Fatalf("cycle %d: %v", cycle, sm.err)
-		}
-		// The epoch barrier the GPU loop would run: drain the commit log
-		// every cycle (SMEpoch=1) so its steady-state cost — append into a
-		// warm slice, overlay clear, Store32 — is measured too.
-		sm.commitMemLog()
-	}
-	// Warm-up: grow every pool and scratch buffer to steady-state size.
-	for i := 0; i < 2000; i++ {
-		step()
-	}
-	if !sm.busy() {
-		t.Fatal("kernel drained during warm-up; steady-state window too short")
-	}
-	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-		t.Fatalf("steady-state SM step allocates %.1f objects/cycle, want 0", allocs)
-	}
-	if !sm.busy() {
-		t.Fatal("kernel drained during measurement; steady-state window too short")
+// saturatingSrc keeps the memory pipe full: every load is uncoalesced (one
+// 128-byte segment per lane, 32 transactions) and walks a 1 MB window the
+// L1 cannot hold, so eight warps demand four times the pipe's 64 slots.
+// The SM spends the window in full-pipe TryIssue failures, sleeping until
+// RoomAt and settling on wake.
+const saturatingSrc = `
+	mov  r0, %tid.x
+	mad  r1, %ctaid.x, %ntid.x, r0
+	shl  r1, r1, 7
+	mov  r2, 0
+Lloop:
+	shl  r5, r2, 13
+	add  r6, r1, r5
+	and  r6, r6, 1048575
+	ld.global r3, [r6]
+	add  r2, r2, 1
+	setp.lt p0, r2, 1000000
+@p0	bra Lloop
+	exit
+`
+
+// TestSteadyStateStepAllocFree pins down the tentpole property of the
+// scratch-arena work: once the pools are warm, an SM cycle (pipeline
+// advance + issue + register-file tick, or a skipped cycle of a sleeping
+// SM) performs zero heap allocations. The pipe-saturating case must also
+// show full-pipe retries, sleep entries and settles inside the measured
+// window, so the event-driven stall path is what gets measured.
+func TestSteadyStateStepAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		src       string
+		saturated bool
+	}{
+		{"mixed", steadySrc, false},
+		{"pipe-saturating", saturatingSrc, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testConfig()
+			c.NumSMs = 1
+			g, err := New(c)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			k, err := asm.Assemble("steady", tc.src)
+			if err != nil {
+				t.Fatalf("Assemble: %v", err)
+			}
+			if err := cfg.ComputeReconvergence(k); err != nil {
+				t.Fatalf("ComputeReconvergence: %v", err)
+			}
+			l := isa.Launch{Kernel: k, Grid: isa.Dim3{X: 4}, Block: isa.Dim3{X: 64}}
+			if err := l.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+
+			sm := g.sms[0]
+			sm.reset(l)
+			nextCTA := 0
+			cycle := uint64(0)
+			var blocked, skipped, settled int
+			step := func() {
+				cycle++
+				if nextCTA < l.NumCTAs() && sm.tryLaunchCTA(nextCTA, cycle) {
+					nextCTA++
+				}
+				// The shard worker's loop: skip the cycles of a
+				// sleeping SM, step the rest.
+				if sm.asleep(cycle) {
+					skipped++
+				} else {
+					if sm.wakeAt != 0 {
+						settled++
+					}
+					sm.step(cycle)
+				}
+				if sm.err != nil {
+					t.Fatalf("cycle %d: %v", cycle, sm.err)
+				}
+				for _, f := range sm.inflight {
+					if f.stage == stExecStart && f.l1Checked {
+						blocked++ // a TryIssue failed on a full pipe
+						break
+					}
+				}
+				// The epoch barrier the GPU loop would run: drain the
+				// commit log every cycle (SMEpoch=1) so its steady-state
+				// cost — append into a warm slice, overlay clear,
+				// Store32 — is measured too.
+				sm.commitMemLog()
+			}
+			// Warm-up: grow every pool and scratch buffer to
+			// steady-state size.
+			for i := 0; i < 2000; i++ {
+				step()
+			}
+			if !sm.busy() {
+				t.Fatal("kernel drained during warm-up; steady-state window too short")
+			}
+			blocked, skipped, settled = 0, 0, 0
+			if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+				t.Fatalf("steady-state SM step allocates %.1f objects/cycle, want 0", allocs)
+			}
+			if !sm.busy() {
+				t.Fatal("kernel drained during measurement; steady-state window too short")
+			}
+			t.Logf("measured window: %d full-pipe cycles, %d skipped, %d settles", blocked, skipped, settled)
+			if tc.saturated && (blocked == 0 || skipped == 0 || settled == 0) {
+				t.Fatalf("measured window missed the stall path: %d full-pipe cycles, %d skipped, %d settles", blocked, skipped, settled)
+			}
+		})
 	}
 }
 

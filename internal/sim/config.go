@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/isa"
 	"repro/internal/regfile"
 )
 
@@ -196,8 +197,13 @@ func (c *Config) Validate() error {
 		return &ConfigError{"ALULatency", "functional unit latencies must be >= 1"}
 	case c.GlobalMemBytes < 4096:
 		return &ConfigError{"GlobalMemBytes", "device memory too small (minimum 4096 bytes)"}
-	case c.GlobalLatency < 1 || c.GlobalMaxInflight < 1 || c.SharedLatency < 1:
+	case c.GlobalLatency < 1 || c.SharedLatency < 1:
 		return &ConfigError{"GlobalLatency", "memory timings must be >= 1"}
+	case c.GlobalMaxInflight < isa.WarpSize:
+		// One uncoalesced warp access issues a transaction per lane; a
+		// pipe that cannot hold that many never accepts it, and the
+		// kernel would spin to MaxCycles.
+		return &ConfigError{"GlobalMaxInflight", fmt.Sprintf("%d outstanding transactions cannot hold one uncoalesced warp access (need >= %d)", c.GlobalMaxInflight, isa.WarpSize)}
 	case c.L1SizeKB < 0 || (c.L1SizeKB > 0 && (c.L1Ways < 1 || c.L1HitLatency < 1)):
 		return &ConfigError{"L1SizeKB", "invalid L1 cache configuration"}
 	case c.BankWakeupLatency < 0:

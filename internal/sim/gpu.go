@@ -165,7 +165,7 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 			if nextCTA >= numCTAs {
 				break
 			}
-			if sm.tryLaunchCTA(nextCTA) {
+			if sm.tryLaunchCTA(nextCTA, c0) {
 				nextCTA++
 			}
 		}

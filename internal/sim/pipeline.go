@@ -71,23 +71,33 @@ type inflight struct {
 func (s *SM) advancePipeline() {
 	out := s.inflight[:0]
 	for _, f := range s.inflight {
+		stage, wbReady, l1Checked := f.stage, f.wbReady, f.l1Checked
 		if s.advance(f) {
 			s.retire(f)
 			s.freeInflight(f)
-		} else {
-			out = append(out, f)
+			s.moved = true
+			continue
 		}
+		if f.stage != stage || f.wbReady != wbReady || f.l1Checked != l1Checked {
+			s.moved = true
+		}
+		out = append(out, f)
 	}
 	s.inflight = out
 }
 
 // advance runs one cycle of an instruction's state machine; returns true
 // when the instruction has fully retired. `continue` transitions consume no
-// time; `return false` waits for the next cycle.
+// time; `return false` waits for the next cycle. Waits on a known cycle
+// report it through waitUntil; stages that contend for a shared resource
+// (bank read ports, decompressors, compressors, write ports) mark the step
+// as moved, since they either progress next cycle or lost to an
+// instruction that progressed this one.
 func (s *SM) advance(f *inflight) bool {
 	for {
 		switch f.stage {
 		case stCollect:
+			s.moved = true
 			// Compact the still-blocked banks in place.
 			rem := 0
 			for i := 0; i < f.nPending; i++ {
@@ -116,6 +126,7 @@ func (s *SM) advance(f *inflight) bool {
 			for f.compSrcs > 0 {
 				ready, ok := s.decomp.TryStart(s.cycle)
 				if !ok {
+					s.moved = true
 					return false
 				}
 				if ready > f.unitReady {
@@ -129,6 +140,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stDecompWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			f.stage = stExecStart
@@ -136,6 +148,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stExecStart:
 			if !s.startExec(f) {
+				s.waitUntil(s.memPipe.RoomAt(f.missTxns))
 				return false
 			}
 			f.stage = stExecWait
@@ -143,6 +156,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stExecWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			// Release predicate results at execute completion.
@@ -170,6 +184,7 @@ func (s *SM) advance(f *inflight) bool {
 			ready, ok := s.comp.TryStart(s.cycle)
 			if !ok {
 				s.st.StallCompressor++
+				s.moved = true
 				return false
 			}
 			f.readyAt = ready
@@ -179,6 +194,7 @@ func (s *SM) advance(f *inflight) bool {
 
 		case stCompressWait:
 			if s.cycle < f.readyAt {
+				s.waitUntil(f.readyAt)
 				return false
 			}
 			f.stage = stWrite
@@ -204,12 +220,14 @@ func (s *SM) advance(f *inflight) bool {
 			}
 			if maxReady > s.cycle {
 				s.st.StallWakeup++
+				s.waitUntil(maxReady)
 				return false
 			}
 			// All-or-nothing write port acquisition keeps the
 			// multi-bank write atomic.
 			for _, b := range f.wbBanks[:f.nWB] {
 				if s.writePort[b] == s.cycle {
+					s.moved = true
 					return false
 				}
 			}

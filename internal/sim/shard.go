@@ -60,7 +60,7 @@ func (sh *shard) runEpoch() {
 	end := sh.c0 + sh.n
 	for c := sh.c0; c < end; c++ {
 		for _, sm := range sh.sms {
-			if sm.err != nil {
+			if sm.err != nil || sm.asleep(c) {
 				continue
 			}
 			sm.step(c)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -22,6 +23,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheduler = "fifo" },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.L1SizeKB = 16; c.L1Ways = 0 },
+		func(c *Config) { c.GlobalMaxInflight = isa.WarpSize - 1 }, // an uncoalesced access never fits
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()
@@ -29,6 +31,16 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	var ce *ConfigError
+	c := DefaultConfig()
+	c.GlobalMaxInflight = 16
+	if err := c.Validate(); !errors.As(err, &ce) || ce.Field != "GlobalMaxInflight" {
+		t.Errorf("GlobalMaxInflight=16: got %v, want a *ConfigError on GlobalMaxInflight", err)
+	}
+	c.GlobalMaxInflight = isa.WarpSize
+	if err := c.Validate(); err != nil {
+		t.Errorf("GlobalMaxInflight=%d (one full warp access) rejected: %v", isa.WarpSize, err)
 	}
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {

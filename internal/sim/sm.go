@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/isa"
@@ -50,6 +52,20 @@ type SM struct {
 	collectorsInUse int // inflight instructions still in stCollect
 
 	inj *faults.Injector // nil unless fault injection is configured
+
+	// Idle-cycle sleep (DESIGN.md §20). A quiet step changes nothing but
+	// stall counters; after one, the SM skips its steps until wakeAt, the
+	// earliest cycle at which anything time-dependent can change, and
+	// settle later adds the skipped cycles' counters in bulk. moved and
+	// nextEvent are the per-step detectors; sleepFrom is the first skipped
+	// cycle (wakeAt and sleepFrom are 0 while awake), and sleepStalls the
+	// scoreboard, collector and wakeup stall growth of the quiet step —
+	// which every skipped cycle repeats.
+	moved       bool
+	nextEvent   uint64
+	wakeAt      uint64
+	sleepFrom   uint64
+	sleepStalls [3]uint64
 
 	// Epoch-commit state (shard.go): global stores and deferred atomics
 	// buffer in memLog during the parallel phase and apply at the epoch
@@ -172,7 +188,7 @@ func (s *SM) reset(l isa.Launch) {
 	s.rfFile = regfile.New(s.regfileConfig())
 	s.comp = core.NewUnitPool(cfg.Compressors, cfg.CompressLatency)
 	s.decomp = core.NewUnitPool(cfg.Decompressors, cfg.DecompressLatency)
-	s.memPipe = mem.NewPipe(cfg.GlobalLatency, cfg.GlobalMaxInflight)
+	s.memPipe.Reset()
 	if cfg.L1SizeKB > 0 {
 		s.l1 = mem.NewCache(cfg.L1SizeKB<<10, cfg.L1Ways)
 	} else {
@@ -190,6 +206,7 @@ func (s *SM) reset(l isa.Launch) {
 	s.liveWarps = 0
 	s.ageSeq = 0
 	s.collectorsInUse = 0
+	s.wakeAt, s.sleepFrom = 0, 0
 	s.err = nil
 	s.errCycle = 0
 	s.memLog = s.memLog[:0]
@@ -219,8 +236,10 @@ func (s *SM) maxWarpSlots() int {
 	return n
 }
 
-// tryLaunchCTA places grid CTA ctaID on this SM if resources allow.
-func (s *SM) tryLaunchCTA(ctaID int) bool {
+// tryLaunchCTA places grid CTA ctaID on this SM if resources allow. The
+// dispatcher runs before the SMs step cycle `cycle`; a sleeping SM that
+// receives a CTA settles its sleep and steps that cycle.
+func (s *SM) tryLaunchCTA(ctaID int, cycle uint64) bool {
 	warpsNeeded := s.launch.WarpsPerCTA()
 	var ctaSlot = -1
 	for i, c := range s.ctas {
@@ -243,6 +262,7 @@ func (s *SM) tryLaunchCTA(ctaID int) bool {
 	if len(free) < warpsNeeded {
 		return false
 	}
+	s.settle(cycle)
 
 	cta := s.ctas[ctaSlot]
 	// Reuse the CTA slot's shared-memory slab and slot list across
@@ -283,12 +303,58 @@ func (s *SM) tryLaunchCTA(ctaID int) bool {
 	return true
 }
 
-// step advances the SM by one cycle.
+// step advances the SM by one cycle. Callers skip cycles before wakeAt
+// (see asleep); the first step after a sleep settles it.
+//
+// A step that moved nothing — no issue, and no in-flight instruction
+// retired, changed stage or lost a contended resource — leaves every
+// issue hazard and pipeline wait exactly as it found them, so each
+// following cycle repeats it until the earliest pending event (a wait's
+// completion, room in the memory pipe, a bank finishing its wakeup). The
+// SM sleeps until then.
 func (s *SM) step(cycle uint64) {
+	s.settle(cycle)
 	s.cycle = cycle
+	s.moved = false
+	s.nextEvent = math.MaxUint64
+	score, coll, wake := s.st.StallScoreboard, s.st.StallCollector, s.st.StallWakeup
 	s.advancePipeline()
 	s.issueAll()
 	s.rfFile.Tick(cycle)
+	if s.moved {
+		return
+	}
+	if next := min(s.nextEvent, s.rfFile.NextWake()); next > cycle+1 {
+		s.wakeAt, s.sleepFrom = next, cycle+1
+		s.sleepStalls = [3]uint64{s.st.StallScoreboard - score, s.st.StallCollector - coll, s.st.StallWakeup - wake}
+	}
+}
+
+// asleep reports whether the SM skips cycle c.
+func (s *SM) asleep(c uint64) bool { return c < s.wakeAt }
+
+// waitUntil notes a pending event of the current step: the cycle at which
+// a waiting instruction can next change.
+func (s *SM) waitUntil(c uint64) {
+	if c < s.nextEvent {
+		s.nextEvent = c
+	}
+}
+
+// settle ends a sleep before cycle c: the skipped cycles sleepFrom..c-1
+// receive exactly the counters one quiet step each would have added. It is
+// a no-op while awake. Any c up to wakeAt is exact, since the SM's state
+// is stationary until then.
+func (s *SM) settle(c uint64) {
+	if s.wakeAt == 0 {
+		return
+	}
+	n := c - s.sleepFrom
+	s.st.StallScoreboard += n * s.sleepStalls[0]
+	s.st.StallCollector += n * s.sleepStalls[1]
+	s.st.StallWakeup += n * s.sleepStalls[2]
+	s.rfFile.TickSpan(s.sleepFrom, c-1)
+	s.wakeAt, s.sleepFrom = 0, 0
 }
 
 // issueAll lets every scheduler issue at most one instruction.
@@ -381,6 +447,7 @@ func (s *SM) canIssue(w *Warp) bool {
 // (pc, active, eff) and the functional step differ between execute/record
 // and replay.
 func (s *SM) issue(w *Warp) {
+	s.moved = true
 	var pc int32
 	var active, eff uint32
 	replaying := s.gpu.rp != nil
@@ -608,6 +675,7 @@ func (s *SM) chooseEnc(w *Warp, dst isa.Reg, res *execResult, mode core.Mode) co
 
 // finalize closes out per-SM statistics at end of simulation.
 func (s *SM) finalize(cycles uint64) *stats.Stats {
+	s.settle(cycles + 1) // an SM that drained early sleeps to the end
 	s.rfFile.Finish(cycles)
 	s.st.Cycles = cycles
 	s.st.RF = s.rfFile.Snapshot()
