@@ -8,16 +8,19 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate (see ROADMAP.md): static analysis, the full
-# test suite under the race detector, and short-budget fuzz passes over the
-# parser-shaped surfaces (assembler, BDI codec, fault injector, the
-# warped.trace/v1 wire reader) plus the record/replay determinism oracle.
+# verify is the tier-1 gate (see ROADMAP.md): gofmt over every tracked Go
+# file, static analysis, the full test suite under the race detector, and
+# short-budget fuzz passes over the parser-shaped surfaces (assembler, BDI
+# codec, fault injector, the warped.trace/v1 wire reader) plus the
+# record/replay determinism oracle.
 # The parallel experiment engine is exercised concurrently by its own
 # tests, so -race is load-bearing here, not ceremonial. The second sim
 # pass re-runs the whole package with the SM loop sharded four ways
 # (DESIGN.md §17) — every golden and oracle must still hold, and -race
 # sweeps the shard workers' actual memory accesses.
 verify:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	WARPED_TEST_SM_PARALLEL=4 $(GO) test -race ./internal/sim/...

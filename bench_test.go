@@ -286,7 +286,7 @@ func BenchmarkBDICompress(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if warped.ChooseEncoding(warped.ModeWarped, &w) != warped.Enc41 {
+		if warped.ChooseEncoding(&w) != warped.Enc41 {
 			b.Fatal("wrong encoding")
 		}
 	}
@@ -331,6 +331,11 @@ func BenchmarkCompressor(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// Each backend runs under its own compression setting's policy.
+			point, err := core.LookupCompression(scheme)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if binder, ok := comp.(core.KernelTableBinder); ok {
 				table := make([]core.Encoding, 8)
 				for i := range table {
@@ -342,7 +347,7 @@ func BenchmarkCompressor(b *testing.B) {
 			var out core.WarpReg
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := comp.Choose(3, &w, core.ModeWarped)
+				e := comp.Choose(3, &w, point.Policy)
 				if e == core.EncUncompressed {
 					b.Fatal("uniform vector left uncompressed")
 				}

@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/prof"
 	"repro/internal/version"
 	"repro/warped"
@@ -37,7 +38,7 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or csv")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
 		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
-		compr    = flag.String("compression", "", "base compression for every exhibit: off, warped, only40, only41, only42, or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+"); exhibits that pin their own mode still override it")
+		compr    = flag.String("compression", "", "base compression for every exhibit: "+strings.Join(warped.Compressions(), ", ")+" (off also turns bank power gating off); exhibits that name their own compression still override it")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
 		backoff  = flag.Duration("retry-backoff", 0, "delay before the first retry, doubling each retry (default 100ms)")
@@ -83,21 +84,20 @@ func main() {
 	}
 	if *compr != "" {
 		base := warped.DefaultConfig()
-		if err := base.ApplyCompression(*compr); err != nil {
+		base.Compression = *compr
+		if *compr == "off" {
+			base.PowerGating = false // the paper's baseline gates no banks
+		}
+		if err := base.Validate(); err != nil {
 			fatal("%v", err)
 		}
 		opts = append(opts, warped.WithBaseConfig(base))
 	}
-	switch *scale {
-	case "small":
-		opts = append(opts, warped.WithScale(warped.Small))
-	case "medium":
-		opts = append(opts, warped.WithScale(warped.Medium))
-	case "large":
-		opts = append(opts, warped.WithScale(warped.Large))
-	default:
-		fatal("unknown scale %q", *scale)
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		fatal("-scale: %v", err)
 	}
+	opts = append(opts, warped.WithScale(sc))
 	if *benches != "" {
 		opts = append(opts, warped.WithBenchmarks(strings.Split(*benches, ",")...))
 	}

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sweep"
 	"repro/internal/version"
 )
@@ -102,7 +103,7 @@ func runSweep(ctx context.Context, args []string) error {
 		attempts    = fs.Int("attempts", 3, "same-worker attempts before declaring it down")
 		timeout     = fs.Duration("timeout", 0, "overall sweep deadline (0 = none)")
 		apiKey      = fs.String("api-key", "", "tenant API key sent with every request (WARPEDCTL_API_KEY env overrides empty)")
-		compression = fs.String("compression", "", "compression scheme merged into the spec's base overrides (explicit config/grid overrides still win)")
+		compression = fs.String("compression", "", "compression setting ("+strings.Join(core.Compressions(), ", ")+") merged into the spec's base overrides (explicit config/grid overrides still win)")
 		quiet       = fs.Bool("quiet", false, "suppress per-job progress on stderr")
 	)
 	fs.Parse(args)

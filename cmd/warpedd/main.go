@@ -96,7 +96,7 @@ func main() {
 		storeBud = flag.String("store-budget", "0", "disk store byte budget, e.g. 512MiB or 2GB (0 = unlimited); LRU entries beyond it are deleted")
 		traceBud = flag.String("trace-budget", "0", "resident recorded-trace byte budget, e.g. 256MiB (0 = entry cap only)")
 		tenants  = flag.String("tenants", "", "JSON tenant roster for API keys, fair-share weights and per-tenant limits (empty = single tenant, no auth)")
-		compr    = flag.String("compression", "", "default compression scheme for submissions that don't pick one ("+strings.Join(warped.CompressionSchemes(), ", ")+"); empty = "+warped.DefaultCompressionScheme)
+		compr    = flag.String("compression", "", "default compression for submissions that don't pick one ("+strings.Join(warped.Compressions(), ", ")+"); empty = "+warped.DefaultCompressionScheme)
 		showVer  = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Parse()
@@ -105,16 +105,9 @@ func main() {
 		return
 	}
 
-	var sc kernels.Scale
-	switch *scale {
-	case "small":
-		sc = kernels.Small
-	case "medium":
-		sc = kernels.Medium
-	case "large":
-		sc = kernels.Large
-	default:
-		log.Fatalf("warpedd: unknown -scale %q (have small, medium, large)", *scale)
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		log.Fatalf("warpedd: -scale: %v", err)
 	}
 
 	storeBudget, err := parseBytes(*storeBud)
@@ -165,11 +158,13 @@ func main() {
 	api := server.New(mgr)
 	api.SetSSEKeepAlive(*sseKA)
 	if *compr != "" {
-		if !warped.CompressionSchemeRegistered(*compr) {
-			log.Fatalf("warpedd: -compression: unknown scheme %q (have %s)", *compr, strings.Join(warped.CompressionSchemes(), ", "))
+		c := warped.DefaultConfig()
+		c.Compression = *compr
+		if err := c.Validate(); err != nil {
+			log.Fatalf("warpedd: -compression: %v", err)
 		}
 		api.SetDefaultCompression(*compr)
-		log.Printf("warpedd: default compression scheme %q", *compr)
+		log.Printf("warpedd: default compression %q", *compr)
 	}
 	srv := &http.Server{
 		Addr:    *addr,

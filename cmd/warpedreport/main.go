@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/version"
 	"repro/warped"
 )
@@ -103,8 +104,8 @@ func main() {
 		out      = flag.String("o", "", "write the report to a file instead of stdout")
 		full     = flag.Bool("tables", false, "append the full per-benchmark tables after the summary")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-	smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
-		compr    = flag.String("compression", "", "base compression for every exhibit: off, warped, only40, only41, only42, or a registered scheme ("+strings.Join(warped.CompressionSchemes(), ", ")+")")
+		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
+		compr    = flag.String("compression", "", "base compression for every exhibit: "+strings.Join(warped.Compressions(), ", ")+" (off also turns bank power gating off)")
 		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
 		watchdog = flag.Duration("watchdog", 0, "cancel a simulation making no progress for this long (0 = off)")
@@ -132,19 +133,18 @@ func main() {
 		warped.WithRetries(*retries),
 		warped.WithWatchdog(*watchdog),
 	}
-	switch *scale {
-	case "small":
-		opts = append(opts, warped.WithScale(warped.Small))
-	case "medium":
-		opts = append(opts, warped.WithScale(warped.Medium))
-	case "large":
-		opts = append(opts, warped.WithScale(warped.Large))
-	default:
-		fatal("unknown scale %q", *scale)
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		fatal("-scale: %v", err)
 	}
+	opts = append(opts, warped.WithScale(sc))
 	if *compr != "" {
 		base := warped.DefaultConfig()
-		if err := base.ApplyCompression(*compr); err != nil {
+		base.Compression = *compr
+		if *compr == "off" {
+			base.PowerGating = false // the paper's baseline gates no banks
+		}
+		if err := base.Validate(); err != nil {
 			fatal("%v", err)
 		}
 		opts = append(opts, warped.WithBaseConfig(base))

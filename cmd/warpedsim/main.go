@@ -15,9 +15,9 @@
 // -mode selects the run mode: execute (the default full simulation),
 // record (execute once and persist the functional execution as a
 // warped.trace/v1 file), or replay (re-time a recorded trace under this
-// invocation's configuration — byte-identical to executing it). The old
-// compression-mode values of -mode (off, warped, only40, only41, only42)
-// are accepted as deprecated aliases for -compression.
+// invocation's configuration — byte-identical to executing it).
+// -compression names the compression setting; off is the paper's baseline,
+// which also turns bank power gating off.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"os/signal"
 	"strings"
 
+	"repro/internal/kernels"
 	"repro/internal/prof"
 	"repro/internal/version"
 	"repro/warped"
@@ -43,8 +44,8 @@ func main() {
 		grid     = flag.Int("grid", 30, "grid size in CTAs (with -asm)")
 		block    = flag.Int("block", 256, "CTA size in threads (with -asm)")
 		scale    = flag.String("scale", "medium", "benchmark scale: small, medium, large")
-		mode     = flag.String("mode", "execute", "run mode: execute, record, replay (compression-mode values are deprecated aliases for -compression)")
-		comp     = flag.String("compression", "warped", "compression: off, warped, only40, only41, only42, or a registered scheme ("+schemeList()+")")
+		mode     = flag.String("mode", "execute", "run mode: execute, record, replay")
+		comp     = flag.String("compression", "bdi", "compression: "+strings.Join(warped.Compressions(), ", ")+" (off also turns bank power gating off)")
 		traceOut = flag.String("trace", "", "trace file: output path with -mode record, input path with -mode replay")
 		sched    = flag.String("scheduler", "gto", "warp scheduler: gto or lrr")
 		sms      = flag.Int("sms", 15, "number of SMs")
@@ -91,40 +92,23 @@ func main() {
 		defer cancel()
 	}
 
-	runMode := "execute"
-	compression := *comp
-	switch *mode {
+	runMode := *mode
+	switch runMode {
 	case "execute", "record", "replay":
-		runMode = *mode
-	case "off", "warped", "bdi", "only40", "only41", "only42":
-		// Pre-trace releases used -mode for the compression mode; honour
-		// the old spelling but steer callers to the canonical -compression
-		// scheme name ("warped" is the bdi scheme's dynamic policy).
-		canonical := *mode
-		if canonical == "warped" {
-			canonical = warped.DefaultCompressionScheme
-		}
-		fmt.Fprintf(os.Stderr, "warpedsim: -mode %s is deprecated; use -compression %s\n", *mode, canonical)
-		compression = canonical
 	default:
-		if warped.CompressionSchemeRegistered(*mode) {
-			// Registered scheme names route through the registry too.
-			fmt.Fprintf(os.Stderr, "warpedsim: -mode %s is deprecated; use -compression %s\n", *mode, *mode)
-			compression = *mode
-			break
-		}
-		fatal("unknown mode %q (execute, record, replay; compression moved to -compression)", *mode)
+		fatal("unknown mode %q (have execute, record, replay)", runMode)
 	}
 
 	cfg := warped.DefaultConfig()
+	cfg.Compression = *comp
+	if *comp == "off" {
+		cfg.PowerGating = false // the paper's baseline gates no banks
+	}
 	cfg.NumSMs = *sms
 	cfg.SMParallel = *smPar
 	cfg.Scheduler = *sched
 	cfg.CompressLatency = *compLat
 	cfg.DecompressLatency = *decLat
-	if err := cfg.ApplyCompression(compression); err != nil {
-		fatal("%v", err)
-	}
 	if *inject != "" {
 		fc, err := warped.ParseFaultSpec(*inject)
 		if err != nil {
@@ -136,16 +120,9 @@ func main() {
 		fatal("%v", err)
 	}
 
-	var sc warped.Scale
-	switch *scale {
-	case "small":
-		sc = warped.Small
-	case "medium":
-		sc = warped.Medium
-	case "large":
-		sc = warped.Large
-	default:
-		fatal("unknown scale %q", *scale)
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		fatal("-scale: %v", err)
 	}
 
 	if runMode != "execute" {
@@ -190,7 +167,7 @@ func main() {
 	)
 	// RRCD redirection needs compression; the uncompressed baseline keeps
 	// the same stuck banks but cannot remap around them.
-	base.Mode, base.PowerGating = warped.ModeOff, false
+	base.Compression, base.PowerGating = "off", false
 	base.Faults.Redirect = false
 	if *compare && *parallel {
 		ch := make(chan runOutcome, 1)
@@ -439,11 +416,6 @@ func printSummary(res *warped.Result) {
 		fmt.Printf("RRCD redirections   %d compressed writes steered around faulty banks\n",
 			s.RF.RedirectedWrites)
 	}
-}
-
-// schemeList renders the registered compression scheme names for flag help.
-func schemeList() string {
-	return strings.Join(warped.CompressionSchemes(), ", ")
 }
 
 func fatal(format string, args ...any) {

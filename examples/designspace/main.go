@@ -48,18 +48,15 @@ func main() {
 
 	fmt.Printf("design space on %q (normalized to no-compression baseline)\n\n", bench)
 	fmt.Printf("%-12s %12s %12s\n", "compressor", "comp.ratio", "energy")
-	modes := []struct {
-		name string
-		mode warped.Mode
-	}{
-		{"<4,0> only", warped.ModeOnly40},
-		{"<4,1> only", warped.ModeOnly41},
-		{"<4,2> only", warped.ModeOnly42},
-		{"warped", warped.ModeWarped},
+	settings := []struct{ name, compression string }{
+		{"<4,0> only", "bdi-40"},
+		{"<4,1> only", "bdi-41"},
+		{"<4,2> only", "bdi-42"},
+		{"warped", "bdi"},
 	}
-	for _, m := range modes {
+	for _, m := range settings {
 		cfg := warped.DefaultConfig()
-		cfg.Mode = m.mode
+		cfg.Compression = m.compression
 		res := run(cfg)
 		s := &res.Stats
 		orig := s.WriteOrigBanks[warped.NonDivergent] + s.WriteOrigBanks[warped.Divergent]

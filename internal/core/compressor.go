@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // SchemeRegistryVersion names the compression-backend registry contract.
@@ -66,13 +67,8 @@ type KernelTableBinder interface {
 	BindTable(table []Encoding)
 }
 
-// schemeEntry is one registered backend.
-type schemeEntry struct {
-	factory func() Compressor
-	ordinal int
-}
-
-var schemes = map[string]schemeEntry{}
+// schemes maps each registered backend name to its factory.
+var schemes = map[string]func() Compressor{}
 
 // RegisterScheme adds a compression backend under name. Registering a
 // duplicate name panics: scheme names are part of the schemes/v1 contract.
@@ -83,17 +79,7 @@ func RegisterScheme(name string, factory func() Compressor) {
 	if _, dup := schemes[name]; dup {
 		panic(fmt.Sprintf("core: compression scheme %q registered twice", name))
 	}
-	schemes[name] = schemeEntry{factory: factory, ordinal: len(schemes) + 1}
-}
-
-// SchemeRegistered reports whether name is a registered backend. The empty
-// string is the legacy spelling of DefaultScheme and is accepted.
-func SchemeRegistered(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := schemes[name]
-	return ok
+	schemes[name] = factory
 }
 
 // Schemes returns the registered backend names in sorted order.
@@ -106,25 +92,61 @@ func Schemes() []string {
 	return out
 }
 
-// ResolveScheme maps the empty legacy spelling to DefaultScheme and leaves
-// every other name untouched.
-func ResolveScheme(name string) string {
-	if name == "" {
-		return DefaultScheme
-	}
-	return name
-}
-
-// NewCompressor builds a fresh instance of the named backend. The empty
-// name resolves to DefaultScheme. Unknown names are an error (the sim
-// config validator surfaces it as a client error).
+// NewCompressor builds a fresh instance of the named backend. Unknown names
+// are an error.
 func NewCompressor(name string) (Compressor, error) {
-	name = ResolveScheme(name)
-	e, ok := schemes[name]
+	factory, ok := schemes[name]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown compression scheme %q (registered: %v)", name, Schemes())
 	}
-	return e.factory(), nil
+	return factory(), nil
+}
+
+// CompressionPoint is one named compression setting, the value space of
+// sim.Config.Compression: the backend that classifies and stores register
+// writes, and the policy its Choose runs under. The paper's §6.6
+// fixed-choice designs (Figs 15/16) are BDI under a restricted policy, and
+// "off" is the uncompressed baseline.
+type CompressionPoint struct {
+	Name   string
+	Scheme string // a registered backend
+	Policy Mode   // ModeOff: no compression hardware, writes stay uncompressed
+}
+
+// compressionPoints is every compression setting, in the order errors and
+// flag help list them. The fixed-choice policies apply to BDI only; the
+// other backends run their own dynamic choice under ModeWarped.
+var compressionPoints = []CompressionPoint{
+	{"off", "bdi", ModeOff},
+	{"bdi", "bdi", ModeWarped},
+	{"bdi-40", "bdi", ModeOnly40},
+	{"bdi-41", "bdi", ModeOnly41},
+	{"bdi-42", "bdi", ModeOnly42},
+	{"fpc", "fpc", ModeWarped},
+	{"static", "static", ModeWarped},
+}
+
+// Compressions returns every compression setting name, in listing order.
+func Compressions() []string {
+	out := make([]string, len(compressionPoints))
+	for i, p := range compressionPoints {
+		out[i] = p.Name
+	}
+	return out
+}
+
+// LookupCompression resolves a compression setting name. The empty string
+// is the default spelling of DefaultScheme.
+func LookupCompression(name string) (CompressionPoint, error) {
+	if name == "" {
+		name = DefaultScheme
+	}
+	for _, p := range compressionPoints {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return CompressionPoint{}, fmt.Errorf("unknown compression %q (have %s)", name, strings.Join(Compressions(), ", "))
 }
 
 // BankTable returns the per-class bank occupancy of a compressor as a fixed

@@ -116,8 +116,11 @@ func (e Encoding) Params() Params {
 // IsCompressed reports whether the encoding is one of the compressed forms.
 func (e Encoding) IsCompressed() bool { return e != EncUncompressed }
 
-// Mode selects which compression policy the compressor applies; the modes
-// beyond ModeWarped exist for the paper's design-space exploration.
+// Mode is the policy a Compressor's Choose runs under. Configurations never
+// name it directly: sim.Config.Compression names a CompressionPoint, which
+// pairs a backend with its policy. The modes beyond ModeWarped exist for the
+// paper's design-space exploration and restrict the BDI backend only. The
+// numeric values are the m token of the cfg/v1 configuration signature.
 type Mode uint8
 
 const (
@@ -133,22 +136,6 @@ const (
 	ModeOnly41
 	ModeOnly42
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeWarped:
-		return "warped"
-	case ModeOnly40:
-		return "only<4,0>"
-	case ModeOnly41:
-		return "only<4,1>"
-	case ModeOnly42:
-		return "only<4,2>"
-	}
-	return fmt.Sprintf("mode%d", uint8(m))
-}
 
 // Enabled reports whether the mode performs any compression.
 func (m Mode) Enabled() bool { return m != ModeOff }
@@ -181,6 +168,10 @@ func (m Mode) Choose(vals *WarpReg) Encoding {
 	}
 	return EncUncompressed
 }
+
+// ChooseBDI returns the encoding the paper's compressor (the bdi
+// compression setting) stores for vals: ModeWarped.Choose.
+func ChooseBDI(vals *WarpReg) Encoding { return ModeWarped.Choose(vals) }
 
 // deltaWidth computes the narrowest per-lane delta width (in bytes) that can
 // represent every lane of vals relative to lane 0. The three fixed BDI

@@ -79,7 +79,7 @@ func TestSingleChoiceModes(t *testing.T) {
 	check := func(m Mode, vals *WarpReg, want Encoding) {
 		t.Helper()
 		if got := m.Choose(vals); got != want {
-			t.Errorf("%s.Choose = %s, want %s", m, got, want)
+			t.Errorf("mode %d: Choose = %s, want %s", m, got, want)
 		}
 	}
 	check(ModeOnly40, uniform, Enc40)

@@ -4,8 +4,8 @@ import "fmt"
 
 // bdiScheme is the paper's compressor: dynamic base-delta-immediate over the
 // three fixed parameter choices <4,0>, <4,1>, <4,2> (Figure 7). It is the
-// DefaultScheme; its Choose is exactly Mode.Choose, so configurations that
-// predate the registry keep byte-identical results.
+// DefaultScheme, and its Choose is exactly Mode.Choose: the fixed-choice
+// policies of the bdi-40/41/42 compression points restrict it.
 type bdiScheme struct{}
 
 func (bdiScheme) Name() string    { return "bdi" }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -24,9 +25,15 @@ const ConfigSignatureVersion = "cfg/v1"
 // its cache entries with the clean runs. TestConfigSignatureCoversConfig
 // enforces coverage field by field.
 func ConfigSignature(c *sim.Config) string {
+	comp, err := core.LookupCompression(c.Compression)
+	if err != nil {
+		// Validate rejects the name; sign it raw so that distinct invalid
+		// names never share a cache entry, and never alias a valid one.
+		comp.Scheme = "?" + c.Compression
+	}
 	return ConfigSignatureVersion + ":" +
 		fmt.Sprintf("m%d g%t s%s cl%d dl%d ch%t sm%d w%d cta%d col%d c%d d%d wake%d dp%s",
-			c.Mode, c.PowerGating, c.Scheduler, c.CompressLatency, c.DecompressLatency,
+			comp.Policy, c.PowerGating, c.Scheduler, c.CompressLatency, c.DecompressLatency,
 			c.CharacterizeWrites, c.NumSMs, c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.Collectors,
 			c.Compressors, c.Decompressors, c.BankWakeupLatency, c.DivergencePolicy) +
 		fmt.Sprintf(" sch%d alu%d sfu%d gm%d gl%d gi%d sl%d l1%d/%d/%d rfc%d drw%d mc%d ep%d cs%s flt{%s}",
@@ -34,14 +41,16 @@ func ConfigSignature(c *sim.Config) string {
 			c.GlobalMemBytes, c.GlobalLatency, c.GlobalMaxInflight, c.SharedLatency,
 			c.L1SizeKB, c.L1Ways, c.L1HitLatency,
 			c.RFCEntries, c.DrowsyAfter, c.MaxCycles, c.SMEpoch,
-			c.CompressionScheme(), c.Faults.String())
+			comp.Scheme, c.Faults.String())
 }
 
-// The compression scheme is signed through the CompressionScheme accessor,
-// not the raw field, so the legacy empty spelling and "bdi" share one cache
-// identity (they run the identical simulation). Inserting the cs token did
-// not need a version bump: a cfg/v1 string with the token can never equal
-// one without it, so old persisted keys miss instead of aliasing.
+// Compression is signed as its resolved policy (m) and backend (cs), not as
+// the raw name, so "" and "bdi" share one cache identity (they run the
+// identical simulation), and every setting keeps the key it had when
+// sim.Config carried the policy and the backend as two fields. Inserting
+// the cs token did not need a version bump: a cfg/v1 string with the token
+// can never equal one without it, so old persisted keys miss instead of
+// aliasing.
 
 // SMParallel is deliberately absent: the epoch-barrier commit protocol makes
 // results byte-identical at every shard count (the determinism oracle in

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -83,25 +84,43 @@ func TestConfigSignatureCoversConfig(t *testing.T) {
 	}
 }
 
-// TestConfigSignatureCompressionScheme pins the scheme-identity contract:
-// the legacy empty spelling and the explicit default scheme run the same
-// simulation and must share one cache identity, while every other
-// registered scheme must get its own (result/store caches may never alias
-// across schemes).
+// TestConfigSignatureCompressionScheme pins the literal cfg/v1 strings of
+// the presets and of DefaultConfig under every compression setting. They
+// are the keys persisted stores and the cluster's rendezvous placement
+// already hold, as rendered when sim.Config named the policy (m) and the
+// backend (cs) in two fields: off was policy 0 over bdi, bdi-40/41/42
+// policies 2-4 over bdi, and fpc and static policy 1 over their own
+// backends. DefaultConfig's empty Compression and "bdi" run the same
+// simulation and share one key; every other setting gets its own, so
+// result and store caches never alias across settings.
 func TestConfigSignatureCompressionScheme(t *testing.T) {
-	base := sim.DefaultConfig()
-	want := ConfigSignature(&base)
-
-	bdi := base
-	bdi.Compression = "bdi"
-	if got := ConfigSignature(&bdi); got != want {
-		t.Errorf("empty Compression and %q must share a signature:\n  %q\n  %q", "bdi", want, got)
+	pinned := []struct{ name, sig string }{
+		{"DefaultConfig", "cfg/v1:m1 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"BaselineConfig", "cfg/v1:m0 gfalse sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"off", "cfg/v1:m0 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"bdi", "cfg/v1:m1 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"bdi-40", "cfg/v1:m2 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"bdi-41", "cfg/v1:m3 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"bdi-42", "cfg/v1:m4 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csbdi flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"fpc", "cfg/v1:m1 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csfpc flt{seed=0,stuck=0,transient=0,redirect=false}"},
+		{"static", "cfg/v1:m1 gtrue sgto cl2 dl1 chfalse sm15 w48 cta8 col8 c2 d4 wake10 dpuncompressed sch2 alu4 sfu8 gm67108864 gl200 gi64 sl24 l116/4/30 rfc0 drw0 mc200000000 ep0 csstatic flt{seed=0,stuck=0,transient=0,redirect=false}"},
 	}
-	for _, scheme := range []string{"static", "fpc"} {
-		mod := base
-		mod.Compression = scheme
-		if got := ConfigSignature(&mod); got == want {
-			t.Errorf("scheme %q aliases the default scheme's signature %q", scheme, got)
+	configs := map[string]sim.Config{"DefaultConfig": sim.DefaultConfig(), "BaselineConfig": sim.BaselineConfig()}
+	for _, name := range core.Compressions() {
+		c := sim.DefaultConfig()
+		c.Compression = name
+		configs[name] = c
+	}
+	if len(configs) != len(pinned) {
+		t.Fatalf("core.Compressions() = %v; pin every setting here", core.Compressions())
+	}
+	for _, p := range pinned {
+		c, ok := configs[p.name]
+		if !ok {
+			t.Fatalf("%s is no longer a compression setting", p.name)
+		}
+		if got := ConfigSignature(&c); got != p.sig {
+			t.Errorf("%s:\n got: %s\nwant: %s", p.name, got, p.sig)
 		}
 	}
 }

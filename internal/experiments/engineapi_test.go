@@ -167,7 +167,7 @@ func TestEngineSignatureKeying(t *testing.T) {
 	b, _ := kernels.ByName("lib")
 	warped := engineTestConfig()
 	baseline := engineTestConfig()
-	baseline.Mode = sim.BaselineConfig().Mode
+	baseline.Compression = sim.BaselineConfig().Compression
 	baseline.PowerGating = false
 	if ConfigSignature(&warped) == ConfigSignature(&baseline) {
 		t.Fatal("distinct configs share a signature")

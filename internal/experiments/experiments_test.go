@@ -209,6 +209,38 @@ func TestDesignSpaceFigures(t *testing.T) {
 	}
 }
 
+// TestDesignSpaceFiguresOverrideBaseCompression: Figs 15/16 name their own
+// compression settings, so a runner whose base config selects another
+// backend reproduces the default-base tables exactly. (When the policy and
+// the backend were two config fields, a non-BDI base made every fixed-choice
+// column an invalid configuration.)
+func TestDesignSpaceFiguresOverrideBaseCompression(t *testing.T) {
+	render := func(r *Runner, id string) string {
+		t.Helper()
+		tab, err := r.Run(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var sb strings.Builder
+		if err := tab.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	def := fastRunner(t)
+	for _, name := range []string{"fpc", "static"} {
+		base := sim.DefaultConfig()
+		base.NumSMs = 4
+		base.Compression = name
+		r := fastRunner(t, WithBaseConfig(base))
+		for _, id := range []string{"fig15", "fig16"} {
+			if got, want := render(r, id), render(def, id); got != want {
+				t.Errorf("%s under a %s base differs from the default base:\n%s\nwant:\n%s", id, name, got, want)
+			}
+		}
+	}
+}
+
 func TestRunUnknownID(t *testing.T) {
 	r := fastRunner(t)
 	if _, err := r.Run("fig99"); err == nil {

@@ -370,16 +370,9 @@ func (r *Runner) Fig14() (*Table, error) {
 	return t, nil
 }
 
-// compressionModes are the Fig 15/16 design-space policies in paper order.
-var compressionModes = []struct {
-	col  string
-	mode core.Mode
-}{
-	{"<4,0>", core.ModeOnly40},
-	{"<4,1>", core.ModeOnly41},
-	{"<4,2>", core.ModeOnly42},
-	{"warped", core.ModeWarped},
-}
+// designPoints are the Fig 15/16 compression settings, one per column, in
+// paper order.
+var designPoints = []string{"bdi-40", "bdi-41", "bdi-42", "bdi"}
 
 // Fig15 is the compression ratio achieved when restricting the compressor
 // to a single parameter choice.
@@ -391,10 +384,10 @@ func (r *Runner) Fig15() (*Table, error) {
 		Notes:   "overall (both phases); paper: <4,0>-only (scalarization) is ~30% below warped-compression",
 	}
 	rows := map[string][]float64{}
-	for i, mc := range compressionModes {
-		err := r.forEach(r.cfgMode(mc.mode), func(b *kernels.Benchmark, res *sim.Result) error {
+	for i, name := range designPoints {
+		err := r.forEach(r.cfgCompression(name), func(b *kernels.Benchmark, res *sim.Result) error {
 			if rows[b.Name] == nil {
-				rows[b.Name] = make([]float64, len(compressionModes))
+				rows[b.Name] = make([]float64, len(designPoints))
 			}
 			s := res.Stats
 			orig := s.WriteOrigBanks[0] + s.WriteOrigBanks[1]
@@ -438,10 +431,10 @@ func (r *Runner) Fig16() (*Table, error) {
 		return nil, err
 	}
 	rows := map[string][]float64{}
-	for i, mc := range compressionModes {
-		err := r.forEach(r.cfgMode(mc.mode), func(b *kernels.Benchmark, res *sim.Result) error {
+	for i, name := range designPoints {
+		err := r.forEach(r.cfgCompression(name), func(b *kernels.Benchmark, res *sim.Result) error {
 			if rows[b.Name] == nil {
-				rows[b.Name] = make([]float64, len(compressionModes))
+				rows[b.Name] = make([]float64, len(designPoints))
 			}
 			rows[b.Name][i] = energy.Compute(params, res.Energy).TotalPJ() / base[b.Name]
 			return nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/kernels"
 	"repro/internal/sim"
@@ -66,7 +65,7 @@ func (r *Runner) cfgWarped() sim.Config { return r.baseConfig() }
 
 func (r *Runner) cfgBaseline() sim.Config {
 	c := r.baseConfig()
-	c.Mode = core.ModeOff
+	c.Compression = "off"
 	c.PowerGating = false
 	return c
 }
@@ -90,20 +89,22 @@ func (r *Runner) cfgScheduler(policy string, compressed bool) sim.Config {
 	return c
 }
 
-func (r *Runner) cfgMode(m core.Mode) sim.Config {
+// cfgCompression is the base configuration under another compression
+// setting; it replaces the base's own, so an exhibit that names its
+// settings reads the same under every runner base.
+func (r *Runner) cfgCompression(name string) sim.Config {
 	c := r.cfgWarped()
-	c.Mode = m
+	c.Compression = name
 	return c
 }
 
 // cfgScheme is warped-compression running a specific registered backend at
-// that backend's own codec latencies (energy.CostOfScheme). Mode is pinned
-// to warped so the cmp1-schemes family compares schemes, not modes, even
-// when the runner's base config disables compression.
+// that backend's own codec latencies (energy.CostOfScheme). Every backend
+// name is also the name of its compression setting, so the cmp1-schemes
+// family compares schemes even when the runner's base config disables
+// compression.
 func (r *Runner) cfgScheme(scheme string) sim.Config {
-	c := r.cfgWarped()
-	c.Mode = core.ModeWarped
-	c.Compression = scheme
+	c := r.cfgCompression(scheme)
 	cost := energy.CostOfScheme(scheme)
 	c.CompressLatency = cost.CompressLatency
 	c.DecompressLatency = cost.DecompressLatency

@@ -3,7 +3,6 @@ package kernels
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -11,7 +10,7 @@ import (
 // warped configuration and returns the run statistics.
 func characterRun(t *testing.T, name string) *stats.Stats {
 	t.Helper()
-	res := runAndCheck(t, name, testCfg(core.ModeWarped))
+	res := runAndCheck(t, name, testCfg("bdi"))
 	return &res.Stats
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -12,7 +11,7 @@ import (
 // against the host reference.
 func runGEMMShape(t *testing.T, variant string, M, N, K int) *sim.Result {
 	t.Helper()
-	g, err := sim.New(testCfg(core.ModeWarped))
+	g, err := sim.New(testCfg("bdi"))
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}
@@ -62,7 +61,7 @@ func TestGEMMVariantsAgree(t *testing.T) {
 	const M, N, K = 33, 17, 40
 	var ref []int32
 	for _, variant := range []string{"gemm_naive", "gemm_block", "gemm_warp", "gemm_reg"} {
-		g, err := sim.New(testCfg(core.ModeOff))
+		g, err := sim.New(testCfg("off"))
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}
@@ -122,7 +121,7 @@ func TestGEMMConflictLadder(t *testing.T) {
 func TestGEMMRegisterLadder(t *testing.T) {
 	regs := map[string]int{}
 	for variant := range gemmVariants {
-		g, err := sim.New(testCfg(core.ModeOff))
+		g, err := sim.New(testCfg("off"))
 		if err != nil {
 			t.Fatalf("sim.New: %v", err)
 		}
@@ -138,7 +137,7 @@ func TestGEMMRegisterLadder(t *testing.T) {
 }
 
 func TestGEMMBadShape(t *testing.T) {
-	g, err := sim.New(testCfg(core.ModeOff))
+	g, err := sim.New(testCfg("off"))
 	if err != nil {
 		t.Fatalf("sim.New: %v", err)
 	}

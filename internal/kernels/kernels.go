@@ -37,6 +37,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is the inverse of Scale.String.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{Small, Medium, Large} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (have small, medium, large)", name)
+}
+
 // pick returns the size for the given scale from a (small, medium, large)
 // triple.
 func (s Scale) pick(small, medium, large int) int {

@@ -3,7 +3,6 @@ package kernels
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -33,11 +32,11 @@ func runAndCheck(t *testing.T, name string, cfg sim.Config) *sim.Result {
 	return res
 }
 
-func testCfg(mode core.Mode) sim.Config {
+func testCfg(compression string) sim.Config {
 	c := sim.DefaultConfig()
 	c.NumSMs = 4
-	c.Mode = mode
-	c.PowerGating = mode.Enabled()
+	c.Compression = compression
+	c.PowerGating = compression != "off"
 	c.MaxCycles = 20_000_000
 	return c
 }
@@ -49,26 +48,41 @@ func TestAllBenchmarksCorrect(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name+"/warped", func(t *testing.T) {
-			runAndCheck(t, b.Name, testCfg(core.ModeWarped))
+			runAndCheck(t, b.Name, testCfg("bdi"))
 		})
 		t.Run(b.Name+"/baseline", func(t *testing.T) {
-			runAndCheck(t, b.Name, testCfg(core.ModeOff))
+			runAndCheck(t, b.Name, testCfg("off"))
 		})
 		t.Run(b.Name+"/lrr", func(t *testing.T) {
-			c := testCfg(core.ModeWarped)
+			c := testCfg("bdi")
 			c.Scheduler = "lrr"
 			runAndCheck(t, b.Name, c)
 		})
 		t.Run(b.Name+"/recompress", func(t *testing.T) {
-			c := testCfg(core.ModeWarped)
+			c := testCfg("bdi")
 			c.DivergencePolicy = "recompress"
 			runAndCheck(t, b.Name, c)
 		})
 		t.Run(b.Name+"/rfc", func(t *testing.T) {
-			c := testCfg(core.ModeOff)
+			c := testCfg("off")
 			c.RFCEntries = 6
 			runAndCheck(t, b.Name, c)
 		})
+	}
+}
+
+// TestParseScaleRoundTrip: ParseScale inverts Scale.String and rejects
+// anything else.
+func TestParseScaleRoundTrip(t *testing.T) {
+	for _, s := range []Scale{Small, Medium, Large} {
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "Small", "huge"} {
+		if _, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) accepted", bad)
+		}
 	}
 }
 
@@ -100,8 +114,8 @@ func TestBenchmarkRegistry(t *testing.T) {
 // harness depends on exact reproducibility.
 func TestDeterminism(t *testing.T) {
 	for _, name := range []string{"bfs", "pathfinder", "histo"} {
-		a := runAndCheck(t, name, testCfg(core.ModeWarped))
-		b := runAndCheck(t, name, testCfg(core.ModeWarped))
+		a := runAndCheck(t, name, testCfg("bdi"))
+		b := runAndCheck(t, name, testCfg("bdi"))
 		if a.Cycles != b.Cycles {
 			t.Fatalf("%s: cycles differ across runs: %d vs %d", name, a.Cycles, b.Cycles)
 		}

@@ -96,13 +96,13 @@ func (s *Server) SetSSEKeepAlive(d time.Duration) {
 	}
 }
 
-// SetDefaultCompression sets the compression scheme jobs run under when
+// SetDefaultCompression sets the compression setting jobs run under when
 // neither the request's compression_scheme field nor its config overrides
 // pick one (the -compression flag of warpedd). Call it before serving
-// traffic with a name core.SchemeRegistered accepts; the empty default
-// keeps the preset's scheme.
-func (s *Server) SetDefaultCompression(scheme string) {
-	s.defaultCompression = scheme
+// traffic with a name sim.Config.Validate accepts; the empty default keeps
+// the preset's setting.
+func (s *Server) SetDefaultCompression(name string) {
+	s.defaultCompression = name
 }
 
 // Handler returns the root handler for an http.Server (or httptest).
@@ -211,11 +211,12 @@ type submitRequest struct {
 	// -sm-parallel policy; negative is rejected. Purely a performance
 	// knob — results are byte-identical at every shard count.
 	SMParallel *int `json:"sm_parallel"`
-	// CompressionScheme selects the registered compression backend for
-	// this job (sim.Config.Compression: "bdi", "static", "fpc"). Additive:
-	// omitted keeps the preset's scheme (or the server's -compression
-	// default); unknown schemes are rejected with 400. It applies after
-	// config overrides, so it wins over a Compression key in config.
+	// CompressionScheme selects the compression setting for this job
+	// (sim.Config.Compression: off, bdi, bdi-40, bdi-41, bdi-42, fpc,
+	// static). Additive: omitted keeps the preset's setting (or the
+	// server's -compression default); unknown names are rejected with 400.
+	// It applies after config overrides, so it wins over a Compression key
+	// in config.
 	CompressionScheme string `json:"compression_scheme"`
 }
 
@@ -263,7 +264,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	} else if cfg.Compression == "" {
 		cfg.Compression = s.defaultCompression
 	}
-	// An unknown scheme is caught by cfg.Validate inside SubmitRequest and
+	// An unknown name is caught by cfg.Validate inside SubmitRequest and
 	// mapped to 400 with the other config errors below.
 
 	tenant, ok := s.authorize(w, r)
@@ -302,11 +303,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
+	// 200 means served from the result cache or store, which the job
+	// records once at submission; a fresh job that already finished is
+	// still a 202.
+	view := job.View()
 	code := http.StatusAccepted
-	if job.State() == jobs.StateDone { // served from the result cache
+	if view.Cached {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, job.View())
+	writeJSON(w, code, view)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

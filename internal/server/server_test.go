@@ -221,6 +221,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown top-level field", `{"benchmark": "zz-srv", "cfg": {}}`},
 		{"negative sm_parallel", `{"benchmark": "zz-srv", "sm_parallel": -2}`},
 		{"unknown compression scheme", `{"benchmark": "zz-srv", "compression_scheme": "zstd"}`},
+		{"dropped compression spelling", `{"benchmark": "zz-srv", "compression_scheme": "warped"}`},
+		{"dropped Mode config key", submitBody(`"Mode": 0`)},
 	}
 	for _, tc := range cases {
 		postJob(t, ts, tc.body, http.StatusBadRequest)

@@ -148,7 +148,7 @@ func TestChooseEncMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &SM{gpu: &GPU{comp: comp}}
+	s := &SM{gpu: &GPU{comp: comp, policy: core.ModeWarped}}
 	w := newWarp(0, 0, 0, 0, isa.WarpSize, 8, 1)
 	const dst = isa.Reg(3)
 
@@ -160,7 +160,7 @@ func TestChooseEncMemo(t *testing.T) {
 
 	// First classification populates the cache even on the unchanged path.
 	want := core.ModeWarped.Choose(&res.dstVals)
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("cold chooseEnc = %v, want %v", got, want)
 	}
 	if w.encValid&(1<<dst) == 0 {
@@ -169,13 +169,13 @@ func TestChooseEncMemo(t *testing.T) {
 
 	// Poison the entry: an unchanged value must hit the memo, not rescan.
 	w.encCache[dst] = core.EncUncompressed
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != core.EncUncompressed {
+	if got := s.chooseEnc(w, dst, &res); got != core.EncUncompressed {
 		t.Fatalf("unchanged value rescanned (got %v); memo not consulted", got)
 	}
 
 	// A changed value bypasses the memo and repairs the entry.
 	res.unchanged = false
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("changed value chooseEnc = %v, want %v", got, want)
 	}
 	if w.encCache[dst] != want {
@@ -187,7 +187,7 @@ func TestChooseEncMemo(t *testing.T) {
 	res.unchanged = true
 	w.encValid &^= 1 << dst
 	w.encCache[dst] = core.EncUncompressed
-	if got := s.chooseEnc(w, dst, &res, core.ModeWarped); got != want {
+	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("invalidated entry chooseEnc = %v, want %v", got, want)
 	}
 }

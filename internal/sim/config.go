@@ -35,14 +35,13 @@ type Config struct {
 	// Scheduling policy: "gto" (default) or "lrr" (§6.5).
 	Scheduler string
 
-	// Warped-compression configuration.
-	Mode core.Mode
-	// Compression names the registered compression backend (schemes/v1:
-	// "bdi", "static", "fpc"; see core.Schemes). The empty string is the
-	// legacy spelling of core.DefaultScheme ("bdi"), so configurations
-	// that predate the registry keep byte-identical results and signature
-	// identity. The fixed-choice modes (ModeOnly40/41/42) are BDI
-	// design-space points and only combine with the bdi scheme.
+	// Compression names the compression setting (core.Compressions):
+	// "off" (the paper's baseline: no compression hardware), "bdi" (the
+	// paper's warped-compression), "bdi-40"/"bdi-41"/"bdi-42" (BDI
+	// restricted to one parameter choice, §6.6), "fpc" or "static" (the
+	// alternative backends). The empty string is the default spelling of
+	// "bdi". With compression off, writes are still classified with bdi
+	// for the compressibility statistics.
 	Compression string
 	// DivergencePolicy selects how divergent writes interact with
 	// compressed registers (paper §5.2):
@@ -126,7 +125,6 @@ func DefaultConfig() Config {
 
 		Scheduler: "gto",
 
-		Mode:              core.ModeWarped,
 		DivergencePolicy:  "uncompressed",
 		Compressors:       2,
 		Decompressors:     4,
@@ -154,7 +152,7 @@ func DefaultConfig() Config {
 // paper's no-compression baseline.
 func BaselineConfig() Config {
 	c := DefaultConfig()
-	c.Mode = core.ModeOff
+	c.Compression = "off"
 	c.PowerGating = false
 	return c
 }
@@ -173,6 +171,7 @@ func (e *ConfigError) Error() string {
 
 // Validate rejects nonsensical parameter combinations with typed errors.
 func (c *Config) Validate() error {
+	comp, compErr := core.LookupCompression(c.Compression)
 	switch {
 	case c.NumSMs < 1:
 		return &ConfigError{"NumSMs", "need at least one SM"}
@@ -218,9 +217,11 @@ func (c *Config) Validate() error {
 		return &ConfigError{"RFCEntries", "negative RFC size"}
 	case c.DrowsyAfter < 0:
 		return &ConfigError{"DrowsyAfter", "negative drowsy threshold"}
-	case c.RFCEntries > 0 && c.Mode.Enabled():
+	case compErr != nil:
+		return &ConfigError{"Compression", compErr.Error()}
+	case c.RFCEntries > 0 && comp.Policy.Enabled():
 		return &ConfigError{"RFCEntries", "the RFC comparator and warped-compression are mutually exclusive"}
-	case c.Faults.Redirect && !c.Mode.Enabled():
+	case c.Faults.Redirect && !comp.Policy.Enabled():
 		return &ConfigError{"Faults.Redirect", "RRCD redirection needs compression (only compressed registers can move banks)"}
 	case c.SMParallel < 0:
 		return &ConfigError{"SMParallel", "negative shard count (0 selects GOMAXPROCS)"}
@@ -228,51 +229,6 @@ func (c *Config) Validate() error {
 		return &ConfigError{"SMEpoch", "negative epoch length (0 selects 1 cycle)"}
 	case c.SMEpoch > c.GlobalLatency:
 		return &ConfigError{"SMEpoch", fmt.Sprintf("epoch of %d cycles exceeds GlobalLatency %d (deferred atomics must commit before the pipeline consumes their old values)", c.SMEpoch, c.GlobalLatency)}
-	case !core.SchemeRegistered(c.Compression):
-		return &ConfigError{"Compression", fmt.Sprintf("unknown compression scheme %q (registered: %v)", c.Compression, core.Schemes())}
-	case c.CompressionScheme() != core.DefaultScheme &&
-		(c.Mode == core.ModeOnly40 || c.Mode == core.ModeOnly41 || c.Mode == core.ModeOnly42):
-		return &ConfigError{"Compression", fmt.Sprintf("mode %s is a BDI design-space point; scheme %q only supports off/warped", c.Mode, c.CompressionScheme())}
 	}
 	return c.Faults.Validate(regfile.NumBanks)
-}
-
-// CompressionScheme returns the resolved compression backend name: the
-// configured scheme, or core.DefaultScheme when the field is empty. Use
-// this accessor — not the raw field — anywhere the name is compared,
-// signed or displayed, so the legacy empty spelling can never alias.
-func (c *Config) CompressionScheme() string {
-	return core.ResolveScheme(c.Compression)
-}
-
-// ApplyCompression interprets a -compression flag value: a registered
-// scheme name ("bdi", "static", "fpc"), the policy spellings "off" and
-// "warped", or a BDI fixed-choice mode ("only40", "only41", "only42").
-// Scheme names enable compression (ModeWarped) under that backend; "off"
-// also disables bank power gating, matching the paper's baseline.
-func (c *Config) ApplyCompression(v string) error {
-	switch v {
-	case "off":
-		c.Mode = core.ModeOff
-		c.PowerGating = false
-	case "warped", "bdi":
-		c.Mode = core.ModeWarped
-		c.Compression = core.DefaultScheme
-	case "only40":
-		c.Mode = core.ModeOnly40
-		c.Compression = core.DefaultScheme
-	case "only41":
-		c.Mode = core.ModeOnly41
-		c.Compression = core.DefaultScheme
-	case "only42":
-		c.Mode = core.ModeOnly42
-		c.Compression = core.DefaultScheme
-	default:
-		if !core.SchemeRegistered(v) {
-			return &ConfigError{"Compression", fmt.Sprintf("unknown compression %q (have off, warped, only40, only41, only42, or a registered scheme: %v)", v, core.Schemes())}
-		}
-		c.Mode = core.ModeWarped
-		c.Compression = v
-	}
-	return nil
 }

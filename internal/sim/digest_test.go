@@ -17,7 +17,8 @@ import (
 )
 
 // digestConfigs is the configuration axis of the result-digest table: the
-// paper's two designs, every compression backend, both schedulers and
+// paper's two designs, its fixed-choice BDI settings, every compression
+// backend, both schedulers and
 // divergence policies, the rival leakage schemes, fault injection (stuck-at
 // banks crash most kernels within a few hundred cycles, so a transient-only
 // entry runs corrupted kernels to completion) with and without
@@ -34,6 +35,9 @@ var digestConfigs = []struct {
 }{
 	{"default", func(c *Config) {}},
 	{"baseline", func(c *Config) { *c = BaselineConfig() }},
+	{"bdi-40", func(c *Config) { c.Compression = "bdi-40" }},
+	{"bdi-41", func(c *Config) { c.Compression = "bdi-41" }},
+	{"bdi-42", func(c *Config) { c.Compression = "bdi-42" }},
 	{"fpc", func(c *Config) { c.Compression = "fpc" }},
 	{"static", func(c *Config) { c.Compression = "static" }},
 	{"lrr", func(c *Config) { c.Scheduler = "lrr" }},

@@ -31,7 +31,12 @@ type GPU struct {
 	// comp is the compression backend selected by cfg.Compression; all SMs
 	// share it (the scheme is stateless on the write path — the static
 	// scheme's table is bound once per launch, before the SMs run).
-	comp core.Compressor
+	// compress reports whether the compression hardware is on, and policy
+	// is the policy comp classifies writes under. Both are resolved once
+	// in New, so the hot path never looks a name up.
+	comp     core.Compressor
+	compress bool
+	policy   core.Mode
 
 	// Front-end selection for the current run. Both nil in execute mode;
 	// rec tees the functional front-end into a trace (RecordContextBeat),
@@ -45,11 +50,21 @@ func New(config Config) (*GPU, error) {
 	if err := config.Validate(); err != nil {
 		return nil, err
 	}
-	comp, err := core.NewCompressor(config.Compression)
+	point, err := core.LookupCompression(config.Compression)
 	if err != nil {
 		return nil, err // unreachable after Validate; kept for refactors
 	}
-	g := &GPU{cfg: config, mem: mem.NewGlobal(config.GlobalMemBytes), comp: comp}
+	comp, err := core.NewCompressor(point.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	g := &GPU{cfg: config, mem: mem.NewGlobal(config.GlobalMemBytes), comp: comp,
+		compress: point.Policy.Enabled(), policy: point.Policy}
+	if !g.compress {
+		// Compression off still classifies every write for the
+		// compressibility statistics, with the paper's dynamic choice.
+		g.policy = core.ModeWarped
+	}
 	for i := 0; i < config.NumSMs; i++ {
 		g.sms = append(g.sms, newSM(i, g))
 	}
@@ -228,7 +243,7 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 	// compressor/decompressor leakage. The RFC comparator leaks for its
 	// full capacity (entries x 128 B x resident warps).
 	compUnits, decompUnits := 0, 0
-	if g.cfg.Mode.Enabled() {
+	if g.compress {
 		compUnits, decompUnits = g.cfg.Compressors, g.cfg.Decompressors
 	}
 	rfcKB := 0

@@ -188,7 +188,7 @@ func (s *SM) advance(f *inflight) bool {
 				return false
 			}
 			f.readyAt = ready
-			f.enc = s.chooseEnc(f.w, f.in.Dst, &f.res, s.cfg.Mode)
+			f.enc = s.chooseEnc(f.w, f.in.Dst, &f.res)
 			f.stage = stCompressWait
 			continue
 
@@ -315,11 +315,11 @@ func (s *SM) startGlobal(f *inflight) bool {
 }
 
 // needCompressor reports whether the write passes through a compressor unit:
-// only full-warp writes under an enabled compression mode are compressed;
+// only full-warp writes with compression on are compressed;
 // divergent/partial writes and dummy MOVs store uncompressed directly
 // (paper §5.2).
 func (s *SM) needCompressor(f *inflight) bool {
-	if !s.cfg.Mode.Enabled() || f.dummy {
+	if !s.gpu.compress || f.dummy {
 		return false
 	}
 	return !f.partial || f.mergedStore
@@ -340,18 +340,14 @@ func (s *SM) commitWrite(f *inflight) {
 	// Classify the achievable compressed size (Fig 8/15 measure the written
 	// data's compressibility independent of the divergence storage policy)
 	// before fault corruption invalidates the memo. When the write went
-	// through the compressor the same mode already classified this exact
+	// through the compressor the same policy already classified this exact
 	// vector, so its encoding is reused directly.
 	var statsEnc core.Encoding
 	if !f.dummy {
 		if s.needCompressor(f) {
 			statsEnc = f.enc
 		} else {
-			mode := s.cfg.Mode
-			if !mode.Enabled() {
-				mode = core.ModeWarped
-			}
-			statsEnc = s.chooseEnc(f.w, dst, &f.res, mode)
+			statsEnc = s.chooseEnc(f.w, dst, &f.res)
 		}
 	}
 	// Corrupt before clearing the scoreboard bit: dependent readers cannot

@@ -61,14 +61,14 @@ func replayTestConfigs() []Config {
 	warped := testConfig()
 
 	baseline := testConfig()
-	baseline.Mode = core.ModeOff
+	baseline.Compression = "off"
 	baseline.PowerGating = false
 
 	recompress := testConfig()
 	recompress.DivergencePolicy = "recompress"
 
 	rfc := testConfig()
-	rfc.Mode = core.ModeOff
+	rfc.Compression = "off"
 	rfc.PowerGating = false
 	rfc.RFCEntries = 6
 
@@ -285,7 +285,7 @@ func TestConcurrentReplaysShareTrace(t *testing.T) {
 // ConfigError.
 func TestTraceModesRejectFaultConfigs(t *testing.T) {
 	c := testConfig()
-	c.Mode = core.ModeOff
+	c.Compression = "off"
 	c.PowerGating = false
 	c.Faults = faults.Config{StuckAtBanks: 1, Seed: 7}
 	g, err := New(c)

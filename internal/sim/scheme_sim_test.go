@@ -55,8 +55,8 @@ func TestChooseEncMemoSchemeSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sBDI := &SM{gpu: &GPU{comp: bdi}}
-	sFPC := &SM{gpu: &GPU{comp: fpc}}
+	sBDI := &SM{gpu: &GPU{comp: bdi, policy: core.ModeWarped}}
+	sFPC := &SM{gpu: &GPU{comp: fpc, policy: core.ModeWarped}}
 	w := newWarp(0, 0, 0, 0, isa.WarpSize, 8, 1)
 	const dst = isa.Reg(3)
 
@@ -75,16 +75,16 @@ func TestChooseEncMemoSchemeSwap(t *testing.T) {
 		t.Fatalf("test vector does not distinguish schemes (both %v)", wantB)
 	}
 
-	if got := sBDI.chooseEnc(w, dst, &res, core.ModeWarped); got != wantB {
+	if got := sBDI.chooseEnc(w, dst, &res); got != wantB {
 		t.Fatalf("bdi chooseEnc = %v, want %v", got, wantB)
 	}
 	// Same warp object handed to a different backend: the bdi entry is
 	// valid and the value unchanged, but it must NOT be served.
-	if got := sFPC.chooseEnc(w, dst, &res, core.ModeWarped); got != wantF {
+	if got := sFPC.chooseEnc(w, dst, &res); got != wantF {
 		t.Fatalf("fpc served stale bdi memo: got %v, want %v", got, wantF)
 	}
 	// And back again: the fpc entry must not leak into bdi either.
-	if got := sBDI.chooseEnc(w, dst, &res, core.ModeWarped); got != wantB {
+	if got := sBDI.chooseEnc(w, dst, &res); got != wantB {
 		t.Fatalf("bdi served stale fpc memo: got %v, want %v", got, wantB)
 	}
 }

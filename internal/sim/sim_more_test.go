@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
@@ -329,18 +328,18 @@ func TestCompressionRatioBounds(t *testing.T) {
 // TestScalarizationSubset: a run restricted to <4,0> must never compress
 // more registers than warped-compression on the same kernel.
 func TestScalarizationSubset(t *testing.T) {
-	run := func(m core.Mode) *Result {
+	run := func(compression string) *Result {
 		c := testConfig()
-		c.Mode = m
+		c.Compression = compression
 		_, res, _ := runKernel(t, c, loopKernelSrc, 4, 128, nil)
 		return res
 	}
-	only40 := run(core.ModeOnly40)
-	wc := run(core.ModeWarped)
+	only40 := run("bdi-40")
+	wc := run("bdi")
 	c40 := only40.Stats.WritesByEnc[stats.NonDivergent][1] // Enc40 slot
 	total40 := c40 + only40.Stats.WritesByEnc[stats.NonDivergent][2] + only40.Stats.WritesByEnc[stats.NonDivergent][3]
 	if total40 != c40 {
-		t.Fatal("ModeOnly40 stored a non-<4,0> compressed encoding")
+		t.Fatal("bdi-40 stored a non-<4,0> compressed encoding")
 	}
 	var comprWC uint64
 	for e := 1; e < stats.NumEncodings; e++ {

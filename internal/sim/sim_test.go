@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -81,10 +80,10 @@ func TestTidKernelWritesIdentity(t *testing.T) {
 }
 
 func TestCompressionDoesNotChangeResults(t *testing.T) {
-	run := func(mode core.Mode) []int32 {
+	run := func(compression string) []int32 {
 		c := testConfig()
-		c.Mode = mode
-		c.PowerGating = mode.Enabled()
+		c.Compression = compression
+		c.PowerGating = compression != "off"
 		g, _, _ := runKernel(t, c, tidKernelSrc, 4, 64, nil)
 		got, err := g.Mem().ReadInt32(0, 4*64)
 		if err != nil {
@@ -92,8 +91,8 @@ func TestCompressionDoesNotChangeResults(t *testing.T) {
 		}
 		return got
 	}
-	on := run(core.ModeWarped)
-	off := run(core.ModeOff)
+	on := run("bdi")
+	off := run("off")
 	for i := range on {
 		if on[i] != off[i] {
 			t.Fatalf("out[%d]: compressed %d != baseline %d", i, on[i], off[i])
@@ -290,15 +289,15 @@ Ljoin:
 }
 
 func TestCompressionReducesBankAccesses(t *testing.T) {
-	run := func(mode core.Mode) *Result {
+	run := func(compression string) *Result {
 		c := testConfig()
-		c.Mode = mode
-		c.PowerGating = mode.Enabled()
+		c.Compression = compression
+		c.PowerGating = compression != "off"
 		_, res, _ := runKernel(t, c, tidKernelSrc, 8, 256, nil)
 		return res
 	}
-	on := run(core.ModeWarped)
-	off := run(core.ModeOff)
+	on := run("bdi")
+	off := run("off")
 	onAcc := on.Stats.RF.BankReads + on.Stats.RF.BankWrites
 	offAcc := off.Stats.RF.BankReads + off.Stats.RF.BankWrites
 	if onAcc >= offAcc {

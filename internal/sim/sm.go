@@ -468,7 +468,7 @@ func (s *SM) issue(w *Warp) {
 	// in compressed state must first be decompressed in place. The
 	// "recompress" ablation policy instead merges through a buffer at
 	// writeback, so it never injects MOVs.
-	if in.HasDst() && eff != 0 && eff != w.launchMask && s.cfg.Mode.Enabled() &&
+	if in.HasDst() && eff != 0 && eff != w.launchMask && s.gpu.compress &&
 		s.cfg.DivergencePolicy != "recompress" {
 		dstID := regfile.RegID(w.slot, int(in.Dst), s.kernel.NumRegs)
 		if s.rfFile.Written(dstID) && s.rfFile.Encoding(dstID).IsCompressed() {
@@ -543,7 +543,7 @@ func (s *SM) issue(w *Warp) {
 		w.regBusy |= 1 << in.Dst
 		// Recompress policy: a partial write re-reads the destination's
 		// current banks so the merge buffer holds the full register.
-		if f.partial && s.cfg.Mode.Enabled() && s.cfg.DivergencePolicy == "recompress" &&
+		if f.partial && s.gpu.compress && s.cfg.DivergencePolicy == "recompress" &&
 			s.rfFile.Written(f.dstID) {
 			f.mergedStore = true
 			var buf [regfile.BanksPerCluster]int
@@ -649,13 +649,13 @@ func (s *SM) finalizeWarp(w *Warp) {
 	}
 }
 
-// chooseEnc classifies a register write's compression encoding, memoized per
-// warp register: when the committed value is unchanged since the register's
-// last classification (res.unchanged — stable because the WAW scoreboard
-// admits no second writer before this commit), the cached encoding is
-// returned without rescanning the 128-byte vector. Fault corruption
-// invalidates entries (see applyFaults).
-func (s *SM) chooseEnc(w *Warp, dst isa.Reg, res *execResult, mode core.Mode) core.Encoding {
+// chooseEnc classifies a register write's compression encoding under the
+// GPU's policy, memoized per warp register: when the committed value is
+// unchanged since the register's last classification (res.unchanged —
+// stable because the WAW scoreboard admits no second writer before this
+// commit), the cached encoding is returned without rescanning the 128-byte
+// vector. Fault corruption invalidates entries (see applyFaults).
+func (s *SM) chooseEnc(w *Warp, dst isa.Reg, res *execResult) core.Encoding {
 	// The memo is namespaced by compression backend: encoding classes mean
 	// different patterns under different schemes, so an entry written by
 	// one compressor must never be served under another (a warp object can
@@ -667,7 +667,7 @@ func (s *SM) chooseEnc(w *Warp, dst isa.Reg, res *execResult, mode core.Mode) co
 	if res.unchanged && w.encValid&(1<<dst) != 0 {
 		return w.encCache[dst]
 	}
-	e := s.gpu.comp.Choose(int(dst), &res.dstVals, mode)
+	e := s.gpu.comp.Choose(int(dst), &res.dstVals, s.gpu.policy)
 	w.encCache[dst] = e
 	w.encValid |= 1 << dst
 	return e

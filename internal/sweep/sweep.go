@@ -281,12 +281,12 @@ func (s *Spec) gridPoints(base sim.Config) ([]struct {
 	}
 }
 
-// SetBaseCompression merges a {"Compression": scheme} override into the
+// SetBaseCompression merges a {"Compression": name} override into the
 // spec's Base overrides — the flag-level convenience behind warpedctl's
 // -compression. Explicit per-config and grid overrides still win, since
 // Base applies first. The spec is re-validated afterwards, so an unknown
-// scheme fails here, before any cluster time is spent.
-func (s *Spec) SetBaseCompression(scheme string) error {
+// name fails here, before any cluster time is spent.
+func (s *Spec) SetBaseCompression(name string) error {
 	var base map[string]json.RawMessage
 	if len(s.Base) > 0 {
 		if err := json.Unmarshal(s.Base, &base); err != nil {
@@ -296,7 +296,7 @@ func (s *Spec) SetBaseCompression(scheme string) error {
 	if base == nil {
 		base = map[string]json.RawMessage{}
 	}
-	enc, err := json.Marshal(scheme)
+	enc, err := json.Marshal(name)
 	if err != nil {
 		return &SpecError{"base", err.Error()}
 	}

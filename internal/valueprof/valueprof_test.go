@@ -94,7 +94,7 @@ func TestChoiceInRange(t *testing.T) {
 func TestBinConsistentWithCompressibility(t *testing.T) {
 	f := func(w core.WarpReg) bool {
 		if BinOf(&w) == stats.BinZero {
-			return core.ModeWarped.Choose(&w) == core.Enc40
+			return core.ChooseBDI(&w) == core.Enc40
 		}
 		return true
 	}

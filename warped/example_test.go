@@ -30,7 +30,7 @@ func ExampleChooseEncoding() {
 		for lane := range w {
 			w[lane] = uint32(int32(lane) * patterns[name])
 		}
-		fmt.Printf("%s -> %s\n", name, warped.ChooseEncoding(warped.ModeWarped, &w))
+		fmt.Printf("%s -> %s\n", name, warped.ChooseEncoding(&w))
 	}
 	// Output:
 	// uniform -> <4,0>

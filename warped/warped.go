@@ -56,18 +56,6 @@ const (
 	Enc42           = core.Enc42
 )
 
-// Mode is the compression policy (off, warped, or a single fixed choice).
-type Mode = core.Mode
-
-// Compression modes.
-const (
-	ModeOff    = core.ModeOff
-	ModeWarped = core.ModeWarped
-	ModeOnly40 = core.ModeOnly40
-	ModeOnly41 = core.ModeOnly41
-	ModeOnly42 = core.ModeOnly42
-)
-
 // BDIParams is one <base,delta> configuration of the BDI algorithm.
 type BDIParams = core.Params
 
@@ -88,9 +76,10 @@ func Decompress(comp []byte, p BDIParams, out []byte) error { return core.Decomp
 // BestBDIParams runs the full design-space explorer of paper §4 / Fig 5.
 func BestBDIParams(data []byte) (BDIParams, bool) { return core.BestParams(data) }
 
-// ChooseEncoding applies a compression mode to a warp register value vector,
-// returning the encoding the hardware compressor would store.
-func ChooseEncoding(m Mode, vals *WarpReg) Encoding { return m.Choose(vals) }
+// ChooseEncoding returns the encoding warped-compression's hardware
+// compressor stores for a warp register value vector: the smallest of
+// <4,0>, <4,1> and <4,2> that fits, else uncompressed.
+func ChooseEncoding(vals *WarpReg) Encoding { return core.ChooseBDI(vals) }
 
 // --- Compression backends (schemes/v1) ---
 
@@ -107,9 +96,9 @@ const DefaultCompressionScheme = core.DefaultScheme
 // (bdi, fpc, static).
 func CompressionSchemes() []string { return core.Schemes() }
 
-// CompressionSchemeRegistered reports whether name is a registered backend
-// ("" counts as the default scheme).
-func CompressionSchemeRegistered(name string) bool { return core.SchemeRegistered(name) }
+// Compressions lists every value Config.Compression accepts: off, bdi, the
+// fixed-choice BDI settings bdi-40/41/42 (paper §6.6), fpc and static.
+func Compressions() []string { return core.Compressions() }
 
 // NewCompressor builds a fresh instance of a registered backend by name.
 func NewCompressor(name string) (Compressor, error) { return core.NewCompressor(name) }

@@ -65,7 +65,7 @@ func TestCompressionPrimitives(t *testing.T) {
 	for i := range w {
 		w[i] = uint32(100 + i)
 	}
-	if enc := warped.ChooseEncoding(warped.ModeWarped, &w); enc != warped.Enc41 {
+	if enc := warped.ChooseEncoding(&w); enc != warped.Enc41 {
 		t.Fatalf("encoding %v, want <4,1>", enc)
 	}
 	data := w.Bytes()
