@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-full report serve cluster-smoke store-smoke clean
+.PHONY: build test verify bench bench-full report serve cluster-smoke store-smoke cli-golden clean
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,13 @@ cluster-smoke:
 # byte-identical report (README "Serving", DESIGN.md §16).
 store-smoke:
 	bash scripts/store_restart_smoke.sh
+
+# cli-golden builds the four engine binaries and byte-compares their
+# exhibit, report and -compare outputs and their -h flag names against
+# cmd/testdata/cli, and checks that warpedbench rejects an unknown -format
+# before any simulation starts (DESIGN.md §21).
+cli-golden:
+	bash scripts/cli_golden.sh
 
 clean:
 	$(GO) clean ./...

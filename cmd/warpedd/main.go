@@ -38,8 +38,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/jobs"
-	"repro/internal/kernels"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/version"
@@ -79,92 +79,77 @@ func parseBytes(s string) (int64, error) {
 }
 
 func main() {
+	f := cli.New("warpedd", "small", cli.Pool)
 	var (
 		addr     = flag.String("addr", ":8077", "listen address")
-		parallel = flag.Int("parallel", 0, "worker pool size and max concurrent simulations (0 = one per CPU)")
-		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/workers); results are byte-identical at every count")
 		queue    = flag.Int("queue", 64, "admission queue depth; submissions beyond it get 429")
 		cache    = flag.Int("cache", 1024, "result cache size in entries (0 disables caching)")
 		retain   = flag.Int("retain", 1024, "finished jobs kept queryable before the oldest are forgotten")
-		scale    = flag.String("scale", "small", "workload scale served: small, medium or large")
-		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
-		backoff  = flag.Duration("retry-backoff", 0, "delay before the first retry, doubling each retry (default 100ms)")
-		watchdog = flag.Duration("watchdog", 0, "cancel a simulation making no progress for this long (0 = off)")
 		drainFor = flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown signal waits for in-flight jobs")
 		sseKA    = flag.Duration("sse-keepalive", 15*time.Second, "interval between keep-alive comments on idle event streams")
 		storeDir = flag.String("store-dir", "", "disk store directory; results and traces persist across restarts (empty = memory only)")
 		storeBud = flag.String("store-budget", "0", "disk store byte budget, e.g. 512MiB or 2GB (0 = unlimited); LRU entries beyond it are deleted")
 		traceBud = flag.String("trace-budget", "0", "resident recorded-trace byte budget, e.g. 256MiB (0 = entry cap only)")
 		tenants  = flag.String("tenants", "", "JSON tenant roster for API keys, fair-share weights and per-tenant limits (empty = single tenant, no auth)")
-		compr    = flag.String("compression", "", "default compression for submissions that don't pick one ("+strings.Join(warped.Compressions(), ", ")+"); empty = "+warped.DefaultCompressionScheme)
-		showVer  = flag.Bool("version", false, "print the build identity and exit")
 	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println(version.String("warpedd"))
-		return
-	}
+	f.Parse()
 
-	sc, err := kernels.ParseScale(*scale)
+	// -compression is only the default for submissions that pick none, so
+	// the resolved base config just validates it.
+	ec, _, err := f.Engine(warped.DefaultConfig())
 	if err != nil {
-		log.Fatalf("warpedd: -scale: %v", err)
+		f.Fatalf("%v", err)
 	}
 
 	storeBudget, err := parseBytes(*storeBud)
 	if err != nil {
-		log.Fatalf("warpedd: -store-budget: %v", err)
+		f.Fatalf("-store-budget: %v", err)
 	}
 	traceBudget, err := parseBytes(*traceBud)
 	if err != nil {
-		log.Fatalf("warpedd: -trace-budget: %v", err)
+		f.Fatalf("-trace-budget: %v", err)
 	}
 	var st *store.Store
 	if *storeDir != "" {
 		st, err = store.Open(*storeDir, store.Options{BudgetBytes: storeBudget, Log: log.Printf})
 		if err != nil {
-			log.Fatalf("warpedd: %v", err)
+			f.Fatalf("%v", err)
 		}
 		ss := st.Stats()
 		log.Printf("warpedd: disk store %s: %d entries, %d bytes (budget %d)", *storeDir, ss.Entries, ss.Bytes, ss.Budget)
 	}
 	var roster []jobs.Tenant
 	if *tenants != "" {
-		f, err := os.Open(*tenants)
+		file, err := os.Open(*tenants)
 		if err != nil {
-			log.Fatalf("warpedd: -tenants: %v", err)
+			f.Fatalf("-tenants: %v", err)
 		}
-		roster, err = jobs.ParseTenants(f)
-		f.Close()
+		roster, err = jobs.ParseTenants(file)
+		file.Close()
 		if err != nil {
-			log.Fatalf("warpedd: -tenants %s: %v", *tenants, err)
+			f.Fatalf("-tenants %s: %v", *tenants, err)
 		}
 		log.Printf("warpedd: %d tenants configured; submissions require a known API key (or the keyless tenant)", len(roster))
 	}
 
 	mgr := jobs.NewManager(context.Background(), jobs.Config{
-		Workers:         *parallel,
-		SMParallel:      *smPar,
+		Workers:         ec.Parallelism,
+		SMParallel:      ec.SMParallel,
 		QueueDepth:      *queue,
 		CacheSize:       *cache,
 		RetainJobs:      *retain,
-		Scale:           sc,
-		Retries:         *retries,
-		RetryBackoff:    *backoff,
-		Watchdog:        *watchdog,
+		Scale:           ec.Scale,
+		Retries:         ec.Retries,
+		Watchdog:        ec.Watchdog,
 		Store:           st,
 		TraceStoreBytes: traceBudget,
 		Tenants:         roster,
 	})
 	api := server.New(mgr)
 	api.SetSSEKeepAlive(*sseKA)
-	if *compr != "" {
-		c := warped.DefaultConfig()
-		c.Compression = *compr
-		if err := c.Validate(); err != nil {
-			log.Fatalf("warpedd: -compression: %v", err)
-		}
-		api.SetDefaultCompression(*compr)
-		log.Printf("warpedd: default compression %q", *compr)
+	if f.Compression != "" {
+		api.SetDefaultCompression(f.Compression)
+		log.Printf("warpedd: default compression %q", f.Compression)
 	}
 	srv := &http.Server{
 		Addr:    *addr,
@@ -179,11 +164,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("warpedd %s listening on %s (workers=%d queue=%d cache=%d scale=%s)",
-		version.Get("warpedd").Version, *addr, mgr.Stats().Workers, *queue, *cache, sc)
+		version.Get("warpedd").Version, *addr, mgr.Stats().Workers, *queue, *cache, ec.Scale)
 
 	select {
 	case err := <-errc:
-		log.Fatalf("warpedd: %v", err)
+		f.Fatalf("%v", err)
 	case sig := <-sigc:
 		log.Printf("warpedd: %v: draining (timeout %s)", sig, *drainFor)
 	}

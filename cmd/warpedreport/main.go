@@ -12,18 +12,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
-	"os/signal"
-	"strings"
 	"time"
 
-	"repro/internal/kernels"
-	"repro/internal/version"
+	"repro/internal/cli"
 	"repro/warped"
 )
 
@@ -98,61 +93,18 @@ var claims = []claim{
 }
 
 func main() {
+	f := cli.New("warpedreport", "medium", cli.Pool|cli.Timeout|cli.Suite)
 	var (
-		scale    = flag.String("scale", "medium", "workload scale: small, medium or large")
-		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
-		out      = flag.String("o", "", "write the report to a file instead of stdout")
-		full     = flag.Bool("tables", false, "append the full per-benchmark tables after the summary")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = one per CPU)")
-		smPar    = flag.Int("sm-parallel", 0, "SM-loop shards per simulation (0 = auto: CPUs/parallelism); results are byte-identical at every count")
-		compr    = flag.String("compression", "", "base compression for every exhibit: "+strings.Join(warped.Compressions(), ", ")+" (off also turns bank power gating off)")
-		timeout  = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
-		retries  = flag.Int("retries", 0, "extra attempts per job after a transient failure")
-		watchdog = flag.Duration("watchdog", 0, "cancel a simulation making no progress for this long (0 = off)")
-		verbose  = flag.Bool("v", false, "log each simulation run")
-		showVer  = flag.Bool("version", false, "print the build identity and exit")
+		full    = flag.Bool("tables", false, "append the full per-benchmark tables after the summary")
+		verbose = flag.Bool("v", false, "log each simulation run")
 	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println(version.String("warpedreport"))
-		return
-	}
+	f.Parse()
+	defer f.Close()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := f.Context()
+	defer cancel()
 
-	var benchList []string
-	opts := []warped.ExperimentOption{
-		warped.WithParallelism(*parallel),
-		warped.WithSMParallel(*smPar),
-		warped.WithRetries(*retries),
-		warped.WithWatchdog(*watchdog),
-	}
-	sc, err := kernels.ParseScale(*scale)
-	if err != nil {
-		fatal("-scale: %v", err)
-	}
-	opts = append(opts, warped.WithScale(sc))
-	if *compr != "" {
-		base := warped.DefaultConfig()
-		base.Compression = *compr
-		if *compr == "off" {
-			base.PowerGating = false // the paper's baseline gates no banks
-		}
-		if err := base.Validate(); err != nil {
-			fatal("%v", err)
-		}
-		opts = append(opts, warped.WithBaseConfig(base))
-	}
-	if *benches != "" {
-		benchList = strings.Split(*benches, ",")
-		opts = append(opts, warped.WithBenchmarks(benchList...))
-	}
+	var opts []warped.ExperimentOption
 	if *verbose {
 		opts = append(opts, warped.WithProgress(func(ev warped.ExperimentEvent) {
 			if ev.Kind == warped.ExperimentJobDone && ev.Err == nil {
@@ -161,23 +113,17 @@ func main() {
 			}
 		}))
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	r, err := warped.NewExperiments(ctx, opts...)
+	r, err := f.Runner(ctx, opts...)
 	if err != nil {
-		fatal("%v", err)
+		f.Fatalf("%v", err)
 	}
+	w, err := f.Output()
+	if err != nil {
+		f.Fatalf("%v", err)
+	}
+
 	fmt.Fprintf(w, "# Warped-Compression: paper vs. measured (%s scale, %d benchmarks)\n\n",
-		*scale, benchCount(benchList))
+		f.Scale, benchCount(f.BenchmarkList()))
 	fmt.Fprintln(w, "| Exhibit | Quantity | Paper | Measured |")
 	fmt.Fprintln(w, "|---|---|---|---|")
 	tables := map[string]*warped.Table{}
@@ -187,7 +133,7 @@ func main() {
 			var err error
 			t, err = r.Run(c.id)
 			if err != nil {
-				fatal("%s: %v", c.id, err)
+				f.Fatalf("%s: %v", c.id, err)
 			}
 			tables[c.id] = t
 		}
@@ -199,11 +145,11 @@ func main() {
 		for _, id := range warped.ExperimentIDs() {
 			t, err := r.Run(id)
 			if err != nil {
-				fatal("%s: %v", id, err)
+				f.Fatalf("%s: %v", id, err)
 			}
 			fmt.Fprintln(w, "```")
 			if err := t.Render(w); err != nil {
-				fatal("%v", err)
+				f.Fatalf("%v", err)
 			}
 			fmt.Fprintln(w, "```")
 		}
@@ -215,9 +161,4 @@ func benchCount(subset []string) int {
 		return len(subset)
 	}
 	return len(warped.Benchmarks())
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "warpedreport: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -7,7 +7,7 @@
 //	warpedsim -bench pathfinder
 //	warpedsim -bench bfs -compression off -scheduler lrr -scale large
 //	warpedsim -asm kernel.s -grid 30 -block 256
-//	warpedsim -bench srad -compare -parallel -timeout 5m
+//	warpedsim -bench srad -compare -timeout 5m
 //	warpedsim -bench bfs -inject seed=42,stuck=2,redirect
 //	warpedsim -mode record -bench bfs -trace bfs.trace
 //	warpedsim -mode replay -trace bfs.trace -compression off
@@ -17,65 +17,46 @@
 // warped.trace/v1 file), or replay (re-time a recorded trace under this
 // invocation's configuration — byte-identical to executing it).
 // -compression names the compression setting; off is the paper's baseline,
-// which also turns bank power gating off.
+// which also turns bank power gating off. -compare also simulates that
+// baseline, concurrently, and reports the deltas. Every mode runs on the
+// experiment engine, as the other binaries do.
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
-	"strings"
+	"sync"
 
-	"repro/internal/kernels"
-	"repro/internal/prof"
-	"repro/internal/version"
+	"repro/internal/cli"
+	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/warped"
 )
 
 func main() {
+	f := cli.New("warpedsim", "medium", cli.Timeout|cli.Profile)
 	var (
 		bench    = flag.String("bench", "", "benchmark name (one of the 20-workload suite)")
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 		asmFile  = flag.String("asm", "", "run a kernel from an assembly file instead of a benchmark")
 		grid     = flag.Int("grid", 30, "grid size in CTAs (with -asm)")
 		block    = flag.Int("block", 256, "CTA size in threads (with -asm)")
-		scale    = flag.String("scale", "medium", "benchmark scale: small, medium, large")
 		mode     = flag.String("mode", "execute", "run mode: execute, record, replay")
-		comp     = flag.String("compression", "bdi", "compression: "+strings.Join(warped.Compressions(), ", ")+" (off also turns bank power gating off)")
 		traceOut = flag.String("trace", "", "trace file: output path with -mode record, input path with -mode replay")
 		sched    = flag.String("scheduler", "gto", "warp scheduler: gto or lrr")
 		sms      = flag.Int("sms", 15, "number of SMs")
 		compLat  = flag.Int("complat", 2, "compression latency in cycles")
 		decLat   = flag.Int("decomplat", 1, "decompression latency in cycles")
-		compare  = flag.Bool("compare", false, "also run the no-compression baseline and report deltas")
-		parallel = flag.Bool("parallel", false, "with -compare, simulate the baseline concurrently")
-		smPar    = flag.Int("sm-parallel", 0, "shard the SM loop across this many goroutines (0 = one per CPU); results are byte-identical at every count")
-		timeout  = flag.Duration("timeout", 0, "abort the simulation after this duration (0 = no limit)")
+		compare  = flag.Bool("compare", false, "also run the no-compression baseline, concurrently, and report deltas")
 		jsonOut  = flag.Bool("json", false, "emit the run result as versioned JSON ("+warped.ResultSchema+") instead of the text summary")
 		inject   = flag.String("inject", "", "inject register-file faults, e.g. seed=42,stuck=2,transient=100,redirect (stuck = stuck-at banks/SM, transient = bit flips per million writes, redirect = RRCD remapping)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		showVer  = flag.Bool("version", false, "print the build identity and exit")
 	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println(version.String("warpedsim"))
-		return
-	}
-
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}()
+	f.Parse()
+	defer f.Close()
 
 	if *list {
 		for _, b := range warped.Benchmarks() {
@@ -84,192 +65,145 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := f.Context()
+	defer cancel()
 
 	runMode := *mode
 	switch runMode {
 	case "execute", "record", "replay":
 	default:
-		fatal("unknown mode %q (have execute, record, replay)", runMode)
+		f.Fatalf("unknown mode %q (have execute, record, replay)", runMode)
 	}
 
-	cfg := warped.DefaultConfig()
-	cfg.Compression = *comp
-	if *comp == "off" {
-		cfg.PowerGating = false // the paper's baseline gates no banks
-	}
-	cfg.NumSMs = *sms
-	cfg.SMParallel = *smPar
-	cfg.Scheduler = *sched
-	cfg.CompressLatency = *compLat
-	cfg.DecompressLatency = *decLat
+	base := warped.DefaultConfig()
+	base.NumSMs = *sms
+	base.Scheduler = *sched
+	base.CompressLatency = *compLat
+	base.DecompressLatency = *decLat
 	if *inject != "" {
 		fc, err := warped.ParseFaultSpec(*inject)
 		if err != nil {
-			fatal("-inject: %v", err)
+			f.Fatalf("-inject: %v", err)
 		}
-		cfg.Faults = fc
+		base.Faults = fc
 	}
-	if err := cfg.Validate(); err != nil {
-		fatal("%v", err)
-	}
-
-	sc, err := kernels.ParseScale(*scale)
+	ec, cfg, err := f.Engine(base)
 	if err != nil {
-		fatal("-scale: %v", err)
+		f.Fatalf("%v", err)
 	}
 
 	if runMode != "execute" {
 		if *traceOut == "" {
-			fatal("-mode %s requires -trace <file>", runMode)
+			f.Fatalf("-mode %s requires -trace <file>", runMode)
 		}
 		if *compare {
-			fatal("-compare is not supported with -mode %s", runMode)
+			f.Fatalf("-compare is not supported with -mode %s", runMode)
 		}
 	}
+	cfgs := []warped.Config{cfg}
+	if *compare {
+		bc := sim.Baseline(cfg)
+		// RRCD redirection needs compression; the baseline keeps the same
+		// stuck banks but cannot remap around them.
+		bc.Faults.Redirect = false
+		cfgs = append(cfgs, bc)
+	}
+	// The configurations simulate concurrently and split the cores.
+	ec.Parallelism = len(cfgs)
+	eng := experiments.NewEngine(ctx, ec)
+
 	if runMode == "replay" {
 		if *bench != "" || *asmFile != "" {
-			fatal("-mode replay takes its kernel from the trace; drop -bench/-asm")
+			f.Fatalf("-mode replay takes its kernel from the trace; drop -bench/-asm")
 		}
-		replayTrace(ctx, cfg, *traceOut, *jsonOut)
+		replayTrace(f, eng, cfg, *traceOut, *jsonOut)
 		return
 	}
+
+	b, err := benchmark(*bench, *asmFile, *grid, *block)
+	if err != nil {
+		f.Fatalf("%v", err)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+
 	if runMode == "record" {
-		res, err := recordOnce(ctx, cfg, *bench, *asmFile, sc, *grid, *block, *traceOut, *scale)
+		res, lt, err := eng.Record(b, cfg)
 		if err != nil {
-			fatal("%v", err)
+			f.Fatalf("%v (trace not written)", jobErr(err))
+		}
+		var meta warped.TraceMeta
+		if *bench != "" {
+			meta.Benchmark, meta.Scale = b.Name, ec.Scale.String()
+		}
+		if err := writeTrace(*traceOut, &warped.Trace{Meta: meta, Launches: []*warped.TraceLaunch{lt}}); err != nil {
+			f.Fatalf("%v", err)
 		}
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
 			if err := enc.Encode(res); err != nil {
-				fatal("%v", err)
+				f.Fatalf("%v", err)
 			}
-		} else {
-			printSummary(res)
-			fmt.Printf("\ntrace               %s written to %s\n", warped.TraceSchema, *traceOut)
+			return
 		}
+		printSummary(res)
+		fmt.Printf("\ntrace               %s written to %s\n", warped.TraceSchema, *traceOut)
 		return
 	}
 
-	// With -compare -parallel, the baseline simulates concurrently with the
-	// main configuration; the simulator itself is deterministic, so the
-	// numbers are identical either way.
-	var (
-		baseRes <-chan runOutcome
-		base    = cfg
-	)
-	// RRCD redirection needs compression; the uncompressed baseline keeps
-	// the same stuck banks but cannot remap around them.
-	base.Compression, base.PowerGating = "off", false
-	base.Faults.Redirect = false
-	if *compare && *parallel {
-		ch := make(chan runOutcome, 1)
-		go func() {
-			res, err := runOnce(ctx, base, *bench, *asmFile, sc, *grid, *block)
-			ch <- runOutcome{res, err}
-		}()
-		baseRes = ch
-	}
-
-	res, err := runOnce(ctx, cfg, *bench, *asmFile, sc, *grid, *block)
-	if err != nil {
+	results, errs := runAll(eng, b, cfgs)
+	res := results[0]
+	if err := errs[0]; err != nil {
 		if cfg.Faults.Enabled() {
 			// A corrupted address or loop register usually kills the
 			// launch outright — that IS the experiment's result.
-			fatal("kernel crashed under injected faults (%s): %v", cfg.Faults.String(), err)
+			f.Fatalf("kernel crashed under injected faults (%s): %v", cfg.Faults.String(), err)
 		}
-		fatal("%v", err)
+		f.Fatalf("%v", err)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fatal("%v", err)
-		}
-		if !*compare {
-			return
+			f.Fatalf("%v", err)
 		}
 	} else {
 		printSummary(res)
 	}
+	if !*compare {
+		return
+	}
 
-	if *compare {
-		bres, err := waitBaseline(ctx, baseRes, base, *bench, *asmFile, sc, *grid, *block)
-		if err != nil {
-			fatal("baseline: %v", err)
+	bres := results[1]
+	if err := errs[1]; err != nil {
+		f.Fatalf("baseline: %v", err)
+	}
+	if *jsonOut {
+		if err := enc.Encode(bres); err != nil {
+			f.Fatalf("%v", err)
 		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(bres); err != nil {
-				fatal("%v", err)
-			}
-			return
-		}
-		p := warped.DefaultEnergyParams()
-		e := warped.ComputeEnergy(p, res.Energy)
-		be := warped.ComputeEnergy(p, bres.Energy)
-		fmt.Printf("\nvs baseline (no compression):\n")
-		fmt.Printf("  execution time    %+0.2f%%\n", 100*(float64(res.Cycles)/float64(bres.Cycles)-1))
-		fmt.Printf("  total RF energy   %-0.1f%% saved\n", 100*(1-e.TotalPJ()/be.TotalPJ()))
-		fmt.Printf("  dynamic energy    %-0.1f%% saved\n", 100*(1-e.DynamicPJ/be.DynamicPJ))
-		fmt.Printf("  leakage energy    %-0.1f%% saved\n", 100*(1-e.LeakagePJ/be.LeakagePJ))
+		return
 	}
+	p := warped.DefaultEnergyParams()
+	e := warped.ComputeEnergy(p, res.Energy)
+	be := warped.ComputeEnergy(p, bres.Energy)
+	fmt.Printf("\nvs baseline (no compression):\n")
+	fmt.Printf("  execution time    %+0.2f%%\n", 100*(float64(res.Cycles)/float64(bres.Cycles)-1))
+	fmt.Printf("  total RF energy   %-0.1f%% saved\n", 100*(1-e.TotalPJ()/be.TotalPJ()))
+	fmt.Printf("  dynamic energy    %-0.1f%% saved\n", 100*(1-e.DynamicPJ/be.DynamicPJ))
+	fmt.Printf("  leakage energy    %-0.1f%% saved\n", 100*(1-e.LeakagePJ/be.LeakagePJ))
 }
 
-// runOutcome carries the concurrent baseline's result.
-type runOutcome struct {
-	res *warped.Result
-	err error
-}
-
-// waitBaseline collects the concurrent baseline run, or simulates it now
-// when -parallel was not given.
-func waitBaseline(ctx context.Context, ch <-chan runOutcome, base warped.Config,
-	bench, asmFile string, sc warped.Scale, grid, block int) (*warped.Result, error) {
-	if ch != nil {
-		out := <-ch
-		return out.res, out.err
-	}
-	return runOnce(ctx, base, bench, asmFile, sc, grid, block)
-}
-
-func runOnce(ctx context.Context, cfg warped.Config, bench, asmFile string, sc warped.Scale, grid, block int) (*warped.Result, error) {
-	gpu, err := warped.NewGPU(cfg)
-	if err != nil {
-		return nil, err
-	}
+// benchmark resolves -bench, or wraps the -asm kernel as an ad-hoc
+// benchmark: it leaves device memory as the launch finds it, and its
+// output check always passes. Each Build hands out its own copy of the
+// kernel, because a GPU fills the kernel's ReconvPC table when it first
+// runs it and -compare runs two GPUs at once.
+func benchmark(name, asmFile string, grid, block int) (*warped.Benchmark, error) {
 	switch {
-	case bench != "":
-		b, ok := warped.BenchmarkByName(bench)
+	case name != "":
+		b, ok := warped.BenchmarkByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (use -list)", bench)
+			return nil, fmt.Errorf("unknown benchmark %q (use -list)", name)
 		}
-		inst, err := b.Build(gpu.Mem(), sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := gpu.RunContext(ctx, inst.Launch)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Check(gpu.Mem()); err != nil {
-			// Injected faults are expected to corrupt kernels: report the
-			// miscomputation but still show what it cost.
-			if cfg.Faults.Enabled() {
-				fmt.Fprintf(os.Stderr, "warpedsim: output INCORRECT under injected faults: %v\n", err)
-				return res, nil
-			}
-			return nil, fmt.Errorf("output validation failed: %w", err)
-		}
-		return res, nil
+		return b, nil
 	case asmFile != "":
 		src, err := os.ReadFile(asmFile)
 		if err != nil {
@@ -279,86 +213,77 @@ func runOnce(ctx context.Context, cfg warped.Config, bench, asmFile string, sc w
 		if err != nil {
 			return nil, err
 		}
-		return gpu.RunContext(ctx, warped.Launch{Kernel: k, Grid: warped.Dim3{X: grid}, Block: warped.Dim3{X: block}})
+		return &warped.Benchmark{Name: asmFile, Build: func(*warped.Memory, warped.Scale) (*warped.BenchmarkInstance, error) {
+			kc := *k
+			return &warped.BenchmarkInstance{
+				Launch: warped.Launch{Kernel: &kc, Grid: warped.Dim3{X: grid}, Block: warped.Dim3{X: block}},
+				Check:  func(*warped.Memory) error { return nil },
+			}, nil
+		}}, nil
 	}
-	return nil, fmt.Errorf("need -bench or -asm (or -list)")
+	return nil, errors.New("need -bench or -asm (or -list)")
 }
 
-// recordOnce executes the kernel once in record mode, validates its output
-// and persists the captured functional execution as a warped.trace/v1 file
-// at path. The returned Result is byte-identical to an execute-mode run.
-func recordOnce(ctx context.Context, cfg warped.Config, bench, asmFile string, sc warped.Scale,
-	grid, block int, path, scaleName string) (*warped.Result, error) {
-	gpu, err := warped.NewGPU(cfg)
+// runAll simulates b under every configuration concurrently on eng and
+// returns the results in configuration order. Injected faults are
+// expected to corrupt kernels, so under them a wrong output is reported,
+// in configuration order, and its run still shown.
+func runAll(eng *experiments.Engine, b *warped.Benchmark, cfgs []warped.Config) ([]*warped.Result, []error) {
+	results := make([]*warped.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, c := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eng.Run(b, c)
+			results[i], errs[i] = res, jobErr(err)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if errors.Is(err, warped.ErrOutputMismatch) && cfgs[i].Faults.Enabled() {
+			fmt.Fprintf(os.Stderr, "warpedsim: output INCORRECT under injected faults: %v\n", err)
+			errs[i] = nil
+		}
+	}
+	return results, errs
+}
+
+// jobErr drops the engine's job identity from err: warpedsim runs one job
+// per configuration, so the configuration signature adds nothing.
+func jobErr(err error) error {
+	var je *warped.JobError
+	if errors.As(err, &je) {
+		return je.Err
+	}
+	return err
+}
+
+func writeTrace(path string, tr *warped.Trace) error {
+	file, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var (
-		launch warped.Launch
-		check  func(*warped.Memory) error
-		meta   warped.TraceMeta
-	)
-	switch {
-	case bench != "":
-		b, ok := warped.BenchmarkByName(bench)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q (use -list)", bench)
-		}
-		inst, err := b.Build(gpu.Mem(), sc)
-		if err != nil {
-			return nil, err
-		}
-		launch, check = inst.Launch, inst.Check
-		meta.Benchmark, meta.Scale = bench, scaleName
-	case asmFile != "":
-		src, err := os.ReadFile(asmFile)
-		if err != nil {
-			return nil, err
-		}
-		k, err := warped.Assemble(asmFile, string(src))
-		if err != nil {
-			return nil, err
-		}
-		launch = warped.Launch{Kernel: k, Grid: warped.Dim3{X: grid}, Block: warped.Dim3{X: block}}
-	default:
-		return nil, fmt.Errorf("need -bench or -asm (or -list)")
+	if err := warped.WriteTrace(file, tr); err != nil {
+		file.Close()
+		return err
 	}
-	res, lt, err := gpu.RecordContextBeat(ctx, launch, nil)
-	if err != nil {
-		return nil, err
-	}
-	if check != nil {
-		if err := check(gpu.Mem()); err != nil {
-			return nil, fmt.Errorf("output validation failed (trace not written): %w", err)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	tr := &warped.Trace{Meta: meta, Launches: []*warped.TraceLaunch{lt}}
-	if err := warped.WriteTrace(f, tr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return file.Close()
 }
 
 // replayTrace re-times every launch of a recorded trace under cfg. The
 // trace is self-contained, so no benchmark build or output check happens;
 // validity was anchored when the trace was recorded.
-func replayTrace(ctx context.Context, cfg warped.Config, path string, jsonOut bool) {
-	f, err := os.Open(path)
+func replayTrace(f *cli.Flags, eng *experiments.Engine, cfg warped.Config, path string, jsonOut bool) {
+	file, err := os.Open(path)
 	if err != nil {
-		fatal("%v", err)
+		f.Fatalf("%v", err)
 	}
-	tr, err := warped.ReadTrace(f)
-	f.Close()
+	tr, err := warped.ReadTrace(file)
+	file.Close()
 	if err != nil {
-		fatal("-trace %s: %v", path, err)
+		f.Fatalf("-trace %s: %v", path, err)
 	}
 	if !jsonOut && tr.Meta.Benchmark != "" {
 		fmt.Printf("replaying %s (%s scale, recorded as %s)\n\n", tr.Meta.Benchmark, tr.Meta.Scale, tr.Meta.Schema)
@@ -366,18 +291,14 @@ func replayTrace(ctx context.Context, cfg warped.Config, path string, jsonOut bo
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	for i, lt := range tr.Launches {
-		gpu, err := warped.NewGPU(cfg)
+		res, err := eng.Replay(tr.Meta.Benchmark, lt, cfg)
 		if err != nil {
-			fatal("%v", err)
-		}
-		res, err := gpu.ReplayContextBeat(ctx, lt, nil)
-		if err != nil {
-			fatal("replay launch %d: %v", i+1, err)
+			f.Fatalf("replay launch %d: %v", i+1, jobErr(err))
 		}
 		switch {
 		case jsonOut:
 			if err := enc.Encode(res); err != nil {
-				fatal("%v", err)
+				f.Fatalf("%v", err)
 			}
 		default:
 			if len(tr.Launches) > 1 {
@@ -416,9 +337,4 @@ func printSummary(res *warped.Result) {
 		fmt.Printf("RRCD redirections   %d compressed writes steered around faulty banks\n",
 			s.RF.RedirectedWrites)
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "warpedsim: "+format+"\n", args...)
-	os.Exit(1)
 }

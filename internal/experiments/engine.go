@@ -118,9 +118,10 @@ type engine struct {
 	// process does not grow a map per distinct configuration ever seen.
 	memoize bool
 
-	// runJob executes one attempt. It is a field (not a method call) purely
-	// as a test seam: robustness tests substitute stalling or flaky jobs
-	// without touching the benchmark registry.
+	// runJob executes one attempt: runSim, or runSimRR with record/replay
+	// on. It is a field (not a method call) so robustness tests can
+	// substitute stalling or flaky jobs without touching the benchmark
+	// registry.
 	runJob func(ctx context.Context, b *kernels.Benchmark, c sim.Config, beat *atomic.Uint64) (*sim.Result, error)
 
 	mu    sync.Mutex
@@ -130,41 +131,13 @@ type engine struct {
 	// per benchmark runs the functional front-end once in record mode and
 	// every other configuration replays the captured trace. traces is the
 	// per-benchmark single-flight cache, bounded by traceBudget bytes (LRU).
-	recordReplay bool
-	traceBudget  int64
-	traceMu      sync.Mutex
-	traces       map[string]*traceEntry
-	traceClock   int64
+	traceBudget int64
+	traceMu     sync.Mutex
+	traces      map[string]*traceEntry
+	traceClock  int64
 
 	progressMu sync.Mutex
 	progress   ProgressFunc
-}
-
-func newEngine(ctx context.Context, parallelism int, scale kernels.Scale, progress ProgressFunc) *engine {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	e := &engine{
-		ctx:         ctx,
-		scale:       scale,
-		parallelism: parallelism,
-		slots:       make(chan struct{}, parallelism),
-		backoff:     100 * time.Millisecond,
-		memoize:     true,
-		calls:       make(map[string]*call),
-		traceBudget: defaultTraceBudget,
-		traces:      make(map[string]*traceEntry),
-		progress:    progress,
-	}
-	e.runJob = e.runSim
-	return e
-}
-
-// enableRecordReplay switches the engine's job path to the execute-once /
-// replay-N strategy. Must be called before any job is scheduled.
-func (e *engine) enableRecordReplay() {
-	e.recordReplay = true
-	e.runJob = e.runSimRR
 }
 
 func (e *engine) emit(ev Event) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -69,22 +70,30 @@ func NewEngine(ctx context.Context, cfg EngineConfig) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eng := newEngine(ctx, cfg.Parallelism, cfg.Scale, cfg.Progress)
-	if cfg.SMParallel > 0 {
-		eng.smParallel = cfg.SMParallel
+	if cfg.Parallelism <= 0 {
+		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Retries > 0 {
-		eng.retries = cfg.Retries
+	eng := &engine{
+		ctx:         ctx,
+		scale:       cfg.Scale,
+		parallelism: cfg.Parallelism,
+		slots:       make(chan struct{}, cfg.Parallelism),
+		retries:     max(cfg.Retries, 0),
+		backoff:     100 * time.Millisecond,
+		watchdog:    max(cfg.Watchdog, 0),
+		smParallel:  max(cfg.SMParallel, 0),
+		memoize:     cfg.Memoize,
+		calls:       make(map[string]*call),
+		traceBudget: defaultTraceBudget,
+		traces:      make(map[string]*traceEntry),
+		progress:    cfg.Progress,
 	}
 	if cfg.RetryBackoff > 0 {
 		eng.backoff = cfg.RetryBackoff
 	}
-	if cfg.Watchdog > 0 {
-		eng.watchdog = cfg.Watchdog
-	}
-	eng.memoize = cfg.Memoize
+	eng.runJob = eng.runSim
 	if cfg.RecordReplay {
-		eng.enableRecordReplay()
+		eng.runJob = eng.runSimRR
 	}
 	return &Engine{eng: eng}
 }

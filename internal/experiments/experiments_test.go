@@ -256,17 +256,29 @@ func TestUnknownBenchmark(t *testing.T) {
 }
 
 func TestMemoization(t *testing.T) {
-	var log strings.Builder
-	r := fastRunner(t, WithProgressWriter(&log))
+	runs := 0
+	r := fastRunner(t, WithProgress(func(ev Event) {
+		if ev.Kind == EventJobDone && ev.Err == nil {
+			runs++
+		}
+	}))
 	if _, err := r.Run("fig8"); err != nil {
 		t.Fatal(err)
 	}
-	runs1 := strings.Count(log.String(), "ran ")
+	runs1 := runs
 	if _, err := r.Run("fig11"); err != nil { // same warped config
 		t.Fatal(err)
 	}
-	if runs2 := strings.Count(log.String(), "ran "); runs2 != runs1 {
-		t.Fatalf("fig11 re-simulated despite cache: %d -> %d runs", runs1, runs2)
+	if runs != runs1 {
+		t.Fatalf("fig11 re-simulated despite cache: %d -> %d runs", runs1, runs)
+	}
+}
+
+// TestRunnerDefaultScale pins the scale a Runner built without WithScale
+// runs at: Small, the zero Scale, as for a standalone Engine.
+func TestRunnerDefaultScale(t *testing.T) {
+	if got := mustNew(t, context.Background()).eng.scale; got != kernels.Small {
+		t.Fatalf("default scale %v, want %v", got, kernels.Small)
 	}
 }
 

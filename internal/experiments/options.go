@@ -3,34 +3,28 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
-// config is the resolved runner configuration functional options build up.
+// config is the resolved runner configuration functional options build
+// up: the engine the Runner schedules on, plus the suite selection and the
+// base hardware configuration exhibits derive theirs from.
 type config struct {
-	scale       kernels.Scale
-	benchmarks  []string
-	parallelism int // 0 means GOMAXPROCS
-	smParallel  int // 0 means auto: GOMAXPROCS / parallelism
-	progress    ProgressFunc
-	base        *sim.Config
-	retries     int
-	backoff     time.Duration
-	watchdog    time.Duration
-	executeOnly bool // disable the record/replay fast path
+	EngineConfig
+	benchmarks []string
+	base       *sim.Config
 }
 
 // Option configures a Runner built with New.
 type Option func(*config)
 
-// WithScale selects the workload size (default Medium, the figure-quality
-// size).
+// WithScale selects the workload size (default Small; Medium is the
+// figure-quality size).
 func WithScale(s kernels.Scale) Option {
-	return func(c *config) { c.scale = s }
+	return func(c *config) { c.Scale = s }
 }
 
 // WithBenchmarks restricts the suite to the named benchmarks. Calling it
@@ -49,7 +43,7 @@ func WithBenchmarks(names ...string) Option {
 // the default) means GOMAXPROCS. Results are deterministic at every
 // parallelism level: tables come out byte-identical to a sequential run.
 func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
+	return func(c *config) { c.Parallelism = n }
 }
 
 // WithSMParallel shards every simulation's per-cycle SM loop across n
@@ -59,29 +53,13 @@ func WithParallelism(n int) Option {
 // job-level and intra-simulation parallelism never oversubscribe. Results
 // are byte-identical at every shard count.
 func WithSMParallel(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.smParallel = n
-	}
+	return func(c *config) { c.SMParallel = n }
 }
 
 // WithProgress installs a structured progress callback. Events are
 // serialized by the engine, so fn needs no locking. See Event.
 func WithProgress(fn ProgressFunc) Option {
-	return func(c *config) { c.progress = fn }
-}
-
-// WithProgressWriter adapts the structured event stream to the legacy
-// line-per-simulation text format on w ("ran <bench> [<config>]
-// cycles=<n>"). Cache hits are not logged, matching the old behaviour.
-func WithProgressWriter(w io.Writer) Option {
-	return WithProgress(func(ev Event) {
-		if ev.Kind == EventJobDone && ev.Err == nil {
-			fmt.Fprintf(w, "ran %-12s [%s] cycles=%d\n", ev.Benchmark, ev.Config, ev.Cycles)
-		}
-	})
+	return func(c *config) { c.Progress = fn }
 }
 
 // WithRetries grants every job n extra attempts (default 0) after a
@@ -89,22 +67,13 @@ func WithProgressWriter(w io.Writer) Option {
 // Deterministic failures (panics, wrong output, invalid configs) are never
 // retried.
 func WithRetries(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.retries = n
-	}
+	return func(c *config) { c.Retries = n }
 }
 
 // WithRetryBackoff sets the delay before the first retry (default 100ms);
 // each subsequent retry doubles it.
 func WithRetryBackoff(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.backoff = d
-		}
-	}
+	return func(c *config) { c.RetryBackoff = d }
 }
 
 // WithWatchdog arms the per-job progress watchdog: a simulation that issues
@@ -114,12 +83,7 @@ func WithRetryBackoff(d time.Duration) Option {
 // cycles: a deadlocked kernel spinning at a barrier burns cycles but issues
 // nothing, which is exactly what the watchdog exists to catch.
 func WithWatchdog(d time.Duration) Option {
-	return func(c *config) {
-		if d < 0 {
-			d = 0
-		}
-		c.watchdog = d
-	}
+	return func(c *config) { c.Watchdog = d }
 }
 
 // WithRecordReplay toggles the execute-once / replay-N strategy (default
@@ -130,7 +94,7 @@ func WithWatchdog(d time.Duration) Option {
 // mode; fault-injection configurations and untraceable launches fall back
 // to execute automatically either way.
 func WithRecordReplay(on bool) Option {
-	return func(c *config) { c.executeOnly = !on }
+	return func(c *config) { c.RecordReplay = on }
 }
 
 // WithBaseConfig overrides the hardware configuration the experiment
@@ -157,24 +121,13 @@ func WithBaseConfig(base sim.Config) Option {
 //	    experiments.WithProgress(func(ev experiments.Event) { ... }))
 //	tables, err := r.RunAll()
 func New(ctx context.Context, opts ...Option) (*Runner, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var c config
+	// Exhibits share configurations heavily and a suite run is bounded, so
+	// the Runner memoizes every result and records each benchmark once.
+	c := config{EngineConfig: EngineConfig{Memoize: true, RecordReplay: true}}
 	for _, o := range opts {
 		o(&c)
 	}
-	eng := newEngine(ctx, c.parallelism, c.scale, c.progress)
-	eng.smParallel = c.smParallel
-	eng.retries = c.retries
-	if c.backoff > 0 {
-		eng.backoff = c.backoff
-	}
-	eng.watchdog = c.watchdog
-	if !c.executeOnly {
-		eng.enableRecordReplay()
-	}
-	r := &Runner{cfg: c, eng: eng}
+	r := &Runner{cfg: c, eng: NewEngine(ctx, c.EngineConfig).eng}
 	base := r.baseConfig()
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: invalid base config: %w", err)

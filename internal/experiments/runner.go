@@ -63,12 +63,7 @@ func (r *Runner) baseConfig() sim.Config {
 
 func (r *Runner) cfgWarped() sim.Config { return r.baseConfig() }
 
-func (r *Runner) cfgBaseline() sim.Config {
-	c := r.baseConfig()
-	c.Compression = "off"
-	c.PowerGating = false
-	return c
-}
+func (r *Runner) cfgBaseline() sim.Config { return sim.Baseline(r.baseConfig()) }
 
 // cfgCharacterize is the paper §3 measurement setup: an uncompressed
 // register file instrumented to classify every register write.

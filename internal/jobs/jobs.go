@@ -352,11 +352,10 @@ type Config struct {
 	Store *store.Store
 	// Scale is the workload size benchmarks are built at (default Small).
 	Scale kernels.Scale
-	// Retries, RetryBackoff and Watchdog configure the engine's
-	// per-job robustness exactly as in the experiment runner.
-	Retries      int
-	RetryBackoff time.Duration
-	Watchdog     time.Duration
+	// Retries and Watchdog configure the engine's per-job robustness
+	// exactly as in the experiment runner.
+	Retries  int
+	Watchdog time.Duration
 	// Tenants declares the API tenants (see Tenant). Empty means
 	// single-tenant: no authentication, one implicit "default" tenant with
 	// no limits — the pre-tenancy behavior, byte-for-byte.
@@ -506,13 +505,12 @@ func NewManager(ctx context.Context, cfg Config) *Manager {
 	// never collide with refs this process mints — no startup scan needed;
 	// replays of old refs resolve through the disk store on demand.
 	m.eng = experiments.NewEngine(ctx, experiments.EngineConfig{
-		Parallelism:  cfg.Workers,
-		SMParallel:   cfg.SMParallel,
-		Scale:        cfg.Scale,
-		Retries:      cfg.Retries,
-		RetryBackoff: cfg.RetryBackoff,
-		Watchdog:     cfg.Watchdog,
-		Progress:     m.onEngineEvent,
+		Parallelism: cfg.Workers,
+		SMParallel:  cfg.SMParallel,
+		Scale:       cfg.Scale,
+		Retries:     cfg.Retries,
+		Watchdog:    cfg.Watchdog,
+		Progress:    m.onEngineEvent,
 		// No engine memoization: the bounded LRU above is the retention
 		// policy; the engine contributes single-flight dedup only.
 		Memoize: false,

@@ -148,14 +148,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// BaselineConfig is DefaultConfig with compression and gating off: the
-// paper's no-compression baseline.
-func BaselineConfig() Config {
-	c := DefaultConfig()
+// Baseline returns c as the paper's no-compression baseline (§6), against
+// which every reported result is a ratio: compression off and no bank power
+// gating.
+func Baseline(c Config) Config {
 	c.Compression = "off"
 	c.PowerGating = false
 	return c
 }
+
+// BaselineConfig is DefaultConfig as the paper's no-compression baseline.
+func BaselineConfig() Config { return Baseline(DefaultConfig()) }
 
 // ConfigError is a typed Config validation failure: which field (or field
 // combination) is impossible and why. All Validate errors are *ConfigError

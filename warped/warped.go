@@ -24,7 +24,6 @@ package warped
 import (
 	"context"
 	"io"
-	"time"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -88,17 +87,9 @@ func ChooseEncoding(vals *WarpReg) Encoding { return core.ChooseBDI(vals) }
 // hot path. See Config.Compression for selecting one by name.
 type Compressor = core.Compressor
 
-// DefaultCompressionScheme is the backend used when Config.Compression is
-// empty: the paper's BDI variant.
-const DefaultCompressionScheme = core.DefaultScheme
-
 // CompressionSchemes lists the registered backend names in sorted order
 // (bdi, fpc, static).
 func CompressionSchemes() []string { return core.Schemes() }
-
-// Compressions lists every value Config.Compression accepts: off, bdi, the
-// fixed-choice BDI settings bdi-40/41/42 (paper §6.6), fpc and static.
-func Compressions() []string { return core.Compressions() }
 
 // NewCompressor builds a fresh instance of a registered backend by name.
 func NewCompressor(name string) (Compressor, error) { return core.NewCompressor(name) }
@@ -332,7 +323,8 @@ func NewExperiments(ctx context.Context, opts ...ExperimentOption) (*ExperimentR
 	return experiments.New(ctx, opts...)
 }
 
-// WithScale selects the workload size (default Medium).
+// WithScale selects the workload size (default Small; Medium is the
+// figure-quality size).
 func WithScale(s Scale) ExperimentOption { return experiments.WithScale(s) }
 
 // WithBenchmarks restricts the suite to the named benchmarks; no arguments
@@ -342,37 +334,11 @@ func WithBenchmarks(names ...string) ExperimentOption { return experiments.WithB
 // WithParallelism bounds concurrent simulations; n <= 0 means GOMAXPROCS.
 func WithParallelism(n int) ExperimentOption { return experiments.WithParallelism(n) }
 
-// WithSMParallel shards each simulation's per-cycle SM loop across n worker
-// goroutines. n <= 0 (the default) divides the machine's cores across the
-// runner's worker slots automatically. Results are byte-identical at every
-// shard count.
-func WithSMParallel(n int) ExperimentOption { return experiments.WithSMParallel(n) }
-
 // WithProgress installs a structured progress callback (calls are
 // serialized; fn needs no locking).
 func WithProgress(fn func(ExperimentEvent)) ExperimentOption {
 	return experiments.WithProgress(fn)
 }
-
-// WithProgressWriter logs one text line per completed simulation to w
-// (the legacy progress format).
-func WithProgressWriter(w io.Writer) ExperimentOption { return experiments.WithProgressWriter(w) }
-
-// WithBaseConfig overrides the hardware configuration experiments derive
-// their per-exhibit configurations from.
-func WithBaseConfig(base Config) ExperimentOption { return experiments.WithBaseConfig(base) }
-
-// WithRetries grants every job n extra attempts after a transient failure
-// (TransientError or a watchdog stall); deterministic failures never retry.
-func WithRetries(n int) ExperimentOption { return experiments.WithRetries(n) }
-
-// WithRetryBackoff sets the first retry delay (default 100ms); each
-// subsequent retry doubles it.
-func WithRetryBackoff(d time.Duration) ExperimentOption { return experiments.WithRetryBackoff(d) }
-
-// WithWatchdog cancels any simulation that issues no new instructions for a
-// full window d, failing it with a *StallError. d <= 0 disables (default).
-func WithWatchdog(d time.Duration) ExperimentOption { return experiments.WithWatchdog(d) }
 
 // ConfigSignature renders a Config as a stable, versioned string that is
 // equal exactly when two configurations produce identical simulations —
