@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -253,6 +257,11 @@ func TestUnknownBenchmark(t *testing.T) {
 	if _, err := r.Run("fig3"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
+	// A repeated name would add a second row and count it twice in AVG.
+	r = fastRunner(t, WithBenchmarks("lib", "lib", "bfs"))
+	if _, err := r.Run("fig3"); err == nil || !strings.Contains(err.Error(), `"lib"`) {
+		t.Fatalf("repeated benchmark: err = %v, want a rejection naming lib", err)
+	}
 }
 
 func TestMemoization(t *testing.T) {
@@ -316,16 +325,32 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 }
 
+// updateGolden rewrites the golden files under testdata/ instead of
+// comparing against them.
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
 // TestAllExhibitsRunAndRender regenerates every exhibit (paper figures,
-// tables and ablations) on a two-benchmark small-scale suite and renders
-// each to text and CSV. This is the whole-harness smoke test.
+// tables and ablations) sequentially on a two-benchmark small-scale suite
+// over a 4-SM base, and renders each to text and CSV. This is the
+// whole-harness smoke test, and it pins the run against
+// testdata/all_exhibits.golden: every progress event (kind, benchmark,
+// attempt, cycles, configuration signature) in the order the engine
+// emitted it, then every table rendered as text. Job order, memo hits and
+// table bytes must all stay put; regenerate the file with
+// `go test ./internal/experiments -run AllExhibits -update` only for a
+// deliberate change to what the exhibits run or print.
 func TestAllExhibitsRunAndRender(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.NumSMs = 4
+	var log strings.Builder
 	r := mustNew(t, context.Background(),
 		WithScale(kernels.Small),
 		WithBenchmarks("bfs", "lib"),
-		WithBaseConfig(base))
+		WithBaseConfig(base),
+		WithParallelism(1),
+		WithProgress(func(ev Event) {
+			fmt.Fprintf(&log, "%s %s %d %d %s\n", ev.Kind, ev.Benchmark, ev.Attempt, ev.Cycles, ev.Config)
+		}))
 	tables, err := r.RunAll()
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +371,36 @@ func TestAllExhibitsRunAndRender(t *testing.T) {
 		}
 		if !strings.Contains(text.String(), tab.ID) {
 			t.Fatalf("%s: text output missing id", tab.ID)
+		}
+		if title, _ := Title(tab.ID); title != tab.Title {
+			t.Errorf("%s: Title = %q, but the table renders %q", tab.ID, title, tab.Title)
+		}
+		log.WriteString(text.String())
+	}
+
+	path := filepath.Join("testdata", "all_exhibits.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got := log.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("run differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			}
 		}
 	}
 }

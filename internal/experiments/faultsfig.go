@@ -27,13 +27,13 @@ const faultMaxCycles = 20_000_000
 // cfgFaulty layers the exhibit's fault campaign onto a base configuration.
 // Redirect stays off for uncompressed configs: sim.Config.Validate rejects
 // RRCD without compression, since only compressed registers can move banks.
-func (r *Runner) cfgFaulty(c sim.Config, redirect bool) sim.Config {
+func cfgFaulty(c sim.Config, redirect bool) sim.Config {
 	c.Faults = faults.Config{Seed: faultSeed, StuckAtBanks: faultStuckBanks, Redirect: redirect}
 	c.MaxCycles = faultMaxCycles
 	return c
 }
 
-// FaultInjection is the robustness exhibit: each benchmark runs against a
+// faultInjection is the robustness exhibit: each benchmark runs against a
 // register file with two stuck-at banks per SM, under the uncompressed
 // baseline, warped-compression, and warped-compression with RRCD
 // redirection. Columns report whether the kernel still computed correct
@@ -42,26 +42,20 @@ func (r *Runner) cfgFaulty(c sim.Config, redirect bool) sim.Config {
 // Unlike every other exhibit this one treats job failures as data: a
 // corrupted address register typically kills the launch (wild access) or
 // wedges it (MaxCycles), and both simply score as incorrect.
-func (r *Runner) FaultInjection() (*Table, error) {
-	t := &Table{
-		ID:    "flt1-faults",
-		Title: "Kernel correctness and energy under injected register faults",
-		Columns: []string{
-			"ok base", "ok wc", "ok wc+rrcd", "redirected writes",
-			"E wc/clean", "E rrcd/clean",
-		},
-		Notes: "2 stuck-at banks/SM, seed 42; ok=1 means output matched the host reference; " +
-			"RRCD steers compressed writes into healthy banks",
+func faultInjection(r *Runner, t *Table) error {
+	t.Columns = []string{
+		"ok base", "ok wc", "ok wc+rrcd", "redirected writes",
+		"E wc/clean", "E rrcd/clean",
 	}
 	benches, err := r.benchmarks()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	params := energy.DefaultParams()
-	clean := r.cfgBaseline()
-	cfgBase := r.cfgFaulty(r.cfgBaseline(), false)
-	cfgWC := r.cfgFaulty(r.cfgWarped(), false)
-	cfgRRCD := r.cfgFaulty(r.cfgWarped(), true)
+	clean := r.config(baseline)
+	cfgBase := cfgFaulty(clean, false)
+	cfgWC := cfgFaulty(r.config(warped), false)
+	cfgRRCD := cfgFaulty(r.config(warped), true)
 	r.prefetch(cfgBase, cfgWC, cfgRRCD)
 
 	for _, b := range benches {
@@ -73,7 +67,7 @@ func (r *Runner) FaultInjection() (*Table, error) {
 				r.failures.record(b.Name, sig(&clean), err)
 				continue
 			}
-			return nil, err
+			return err
 		}
 		cleanPJ := energy.Compute(params, cleanRes.Energy).TotalPJ()
 
@@ -83,7 +77,7 @@ func (r *Runner) FaultInjection() (*Table, error) {
 		t.AddRow(b.Name, okBase, okWC, okRRCD, redir, ePJ, eRRCD)
 	}
 	t.AddAverage()
-	return t, nil
+	return nil
 }
 
 // faultOutcome runs one faulty job tolerantly and scores it: ok is 1 when

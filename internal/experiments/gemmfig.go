@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/energy"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -22,9 +21,9 @@ import (
 // reuse one level closer to the execution units.
 var gemmLadder = []string{"gemm_naive", "gemm_block", "gemm_warp", "gemm_reg"}
 
-// gemmBenchmarks resolves the ladder from the registry, honoring the
-// partial-mode failure filter the way benchmarks() does.
-func (r *Runner) gemmBenchmarks() ([]*kernels.Benchmark, error) {
+// ladder resolves the ladder from the registry, honoring the partial-mode
+// failure filter the way benchmarks() does.
+func (r *Runner) ladder() ([]*kernels.Benchmark, error) {
 	var out []*kernels.Benchmark
 	for _, name := range gemmLadder {
 		b, ok := kernels.ByName(name)
@@ -39,108 +38,20 @@ func (r *Runner) gemmBenchmarks() ([]*kernels.Benchmark, error) {
 	return out, nil
 }
 
-// gemmSchemeTable builds one ladder-rows x scheme-columns table where each
-// cell is value(scheme result, baseline result for the same variant).
-func (r *Runner) gemmSchemeTable(id, title, notes string,
-	value func(scheme string, res, base *sim.Result) float64) (*Table, error) {
-	schemes := schemeColumns()
-	t := &Table{ID: id, Title: title, Columns: schemes, Notes: notes}
-	benches, err := r.gemmBenchmarks()
+// gemmShared (gemm1-tiling-shared) is the bank model's view of the
+// ladder, plus each variant's register footprint, which only the kernel's
+// metadata holds. Scheme-independent: the shared-memory columns are pure
+// functions of the access streams, so one baseline run per variant
+// suffices. The acceptance trends: serialization falls to zero and
+// regs/thread rises monotonically from gemm_naive to gemm_reg.
+func gemmShared(r *Runner, t *Table) error {
+	t.Columns = []string{"regs/thread", "cycles", "accesses", "bank_rows", "conflicts", "serialize_cyc", "broadcast_hits"}
+	benches, err := r.ladder()
 	if err != nil {
-		return nil, err
-	}
-	base := map[string]*sim.Result{}
-	if err := r.forEachOf(benches, r.cfgBaseline(), func(b *kernels.Benchmark, res *sim.Result) error {
-		base[b.Name] = res
-		return nil
-	}); err != nil {
-		return nil, err
+		return err
 	}
 	rows := map[string][]float64{}
-	for i, scheme := range schemes {
-		err := r.forEachOf(benches, r.cfgScheme(scheme), func(b *kernels.Benchmark, res *sim.Result) error {
-			if rows[b.Name] == nil {
-				rows[b.Name] = make([]float64, len(schemes))
-			}
-			rows[b.Name][i] = value(scheme, res, base[b.Name])
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range gemmLadder {
-		if rows[name] != nil {
-			t.AddRow(name, rows[name]...)
-		}
-	}
-	t.AddAverage()
-	return t, nil
-}
-
-// GemmTilingRatio (gemm1-tiling-ratio) is the write compression ratio each
-// scheme achieves on each rung of the ladder. The interesting read is down
-// a column: register tiling replaces value-similar address registers with
-// live accumulators, so the ratio erodes as the ladder climbs.
-func (r *Runner) GemmTilingRatio() (*Table, error) {
-	return r.gemmSchemeTable("gemm1-tiling-ratio",
-		"GEMM tiling ladder: compression ratio per scheme",
-		"original / compressed write banks (both phases); rows in ladder order",
-		func(_ string, res, _ *sim.Result) float64 {
-			s := res.Stats
-			orig := s.WriteOrigBanks[0] + s.WriteOrigBanks[1]
-			comp := s.WriteCompBanks[0] + s.WriteCompBanks[1]
-			if comp == 0 {
-				return 1
-			}
-			return float64(orig) / float64(comp)
-		})
-}
-
-// GemmTilingEnergy (gemm1-tiling-energy) is register file energy under each
-// scheme, normalized per variant to that variant's no-compression baseline
-// (so the column trend isolates the scheme, not the tiling's cycle count).
-func (r *Runner) GemmTilingEnergy() (*Table, error) {
-	return r.gemmSchemeTable("gemm1-tiling-energy",
-		"GEMM tiling ladder: register file energy per scheme",
-		"normalized to each variant's no-compression baseline; per-scheme unit energies",
-		func(scheme string, res, base *sim.Result) float64 {
-			params := energy.ParamsForScheme(scheme)
-			b := energy.Compute(energy.DefaultParams(), base.Energy).TotalPJ()
-			return energy.Compute(params, res.Energy).TotalPJ() / b
-		})
-}
-
-// GemmTilingTime (gemm1-tiling-time) is execution time under each scheme,
-// normalized per variant to its baseline cycles.
-func (r *Runner) GemmTilingTime() (*Table, error) {
-	return r.gemmSchemeTable("gemm1-tiling-time",
-		"GEMM tiling ladder: execution time per scheme",
-		"scheme cycles / same variant's baseline cycles at per-scheme codec latencies",
-		func(_ string, res, base *sim.Result) float64 {
-			return float64(res.Cycles) / float64(base.Cycles)
-		})
-}
-
-// GemmTilingShared (gemm1-tiling-shared) is the bank model's view of the
-// ladder, plus each variant's register footprint. Scheme-independent: the
-// shared-memory columns are pure functions of the access streams, so one
-// baseline run per variant suffices. The acceptance trends: serialization
-// falls to zero and regs/thread rises monotonically from gemm_naive to
-// gemm_reg.
-func (r *Runner) GemmTilingShared() (*Table, error) {
-	t := &Table{
-		ID:      "gemm1-tiling-shared",
-		Title:   "GEMM tiling ladder: shared-memory bank behavior and register pressure",
-		Columns: []string{"regs/thread", "cycles", "accesses", "bank_rows", "conflicts", "serialize_cyc", "broadcast_hits"},
-		Notes:   "32-bank x 4B model (mem.AnalyzeShared); counts are absolute, baseline config",
-	}
-	benches, err := r.gemmBenchmarks()
-	if err != nil {
-		return nil, err
-	}
-	rows := map[string][]float64{}
-	if err := r.forEachOf(benches, r.cfgBaseline(), func(b *kernels.Benchmark, res *sim.Result) error {
+	if err := r.forEach(benches, r.config(baseline), func(b *kernels.Benchmark, res *sim.Result) error {
 		inst, err := b.Build(memForKernelInspect(r), kernels.Small)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
@@ -157,14 +68,14 @@ func (r *Runner) GemmTilingShared() (*Table, error) {
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	for _, name := range gemmLadder {
 		if rows[name] != nil {
 			t.AddRow(name, rows[name]...)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // memForKernelInspect returns a scratch device memory for rebuilding a

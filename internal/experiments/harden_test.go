@@ -127,7 +127,7 @@ func TestRetryExactCount(t *testing.T) {
 	attempts, job := flakyJob(2)
 	r.eng.runJob = job
 	b, _ := kernels.ByName("bfs")
-	res, err := r.eng.run(b, r.cfgWarped())
+	res, err := r.eng.run(b, r.config(warped))
 	if err != nil {
 		t.Fatalf("flaky job did not recover: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestRetryExactCount(t *testing.T) {
 		WithRetryBackoff(time.Millisecond))...)
 	attempts2, job2 := flakyJob(1 << 30)
 	r2.eng.runJob = job2
-	_, err = r2.eng.run(b, r2.cfgWarped())
+	_, err = r2.eng.run(b, r2.config(warped))
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("err = %v, want *JobError", err)
@@ -172,7 +172,7 @@ func TestNoRetryOnDeterministicFailure(t *testing.T) {
 		WithRetries(5),
 		WithRetryBackoff(time.Millisecond))...)
 	b, _ := kernels.ByName("zz-panic")
-	_, err := r.eng.run(b, r.cfgWarped())
+	_, err := r.eng.run(b, r.config(warped))
 	var je *JobError
 	if !errors.As(err, &je) {
 		t.Fatalf("err = %v, want *JobError", err)
@@ -202,7 +202,7 @@ func TestWatchdogCancelsStalledLoop(t *testing.T) {
 	}
 	b, _ := kernels.ByName("bfs")
 	start := time.Now()
-	_, err := r.eng.run(b, r.cfgWarped())
+	_, err := r.eng.run(b, r.config(warped))
 	var se *StallError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want wrapped *StallError", err)
@@ -236,7 +236,7 @@ func TestWatchdogSparesProgressingJobs(t *testing.T) {
 		return &sim.Result{Cycles: 2}, nil
 	}
 	b, _ := kernels.ByName("bfs")
-	res, err := r.eng.run(b, r.cfgWarped())
+	res, err := r.eng.run(b, r.config(warped))
 	if err != nil {
 		t.Fatalf("progressing job was killed: %v", err)
 	}
@@ -340,6 +340,38 @@ func TestPartialReportStructure(t *testing.T) {
 	}
 	if crep.Failed() || crep.Render() != "" {
 		t.Fatalf("clean run reported failures: %+v", crep)
+	}
+}
+
+// TestPartialGemmFamilyDropsFailedVariant: in partial mode a GEMM variant
+// whose baseline job fails costs its own row, not the exhibit. The ladder
+// is re-filtered before every scheme pass, so no scheme runs the failed
+// variant and no cell reads its missing baseline.
+func TestPartialGemmFamilyDropsFailedVariant(t *testing.T) {
+	r := mustNew(t, context.Background(), fastNewOpts(WithParallelism(1))...)
+	runJob := r.eng.runJob
+	r.eng.runJob = func(ctx context.Context, b *kernels.Benchmark, c sim.Config, beat *atomic.Uint64) (*sim.Result, error) {
+		if b.Name == "gemm_block" && c.Compression == "off" {
+			return nil, errors.New("injected baseline failure")
+		}
+		return runJob(ctx, b, c, beat)
+	}
+	rep, err := r.RunPartial("gemm1-tiling-energy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Exhibits) != 0 || len(rep.Tables) != 1 {
+		t.Fatalf("%d tables, exhibit failures %v; want the table without gemm_block", len(rep.Tables), rep.Exhibits)
+	}
+	var labels []string
+	for _, row := range rep.Tables[0].Rows {
+		labels = append(labels, row.Label)
+	}
+	if got, want := strings.Join(labels, ","), "gemm_naive,gemm_warp,gemm_reg,AVG"; got != want {
+		t.Fatalf("rows %s, want %s", got, want)
+	}
+	if len(rep.Jobs) != 1 || rep.Jobs[0].Benchmark != "gemm_block" {
+		t.Fatalf("job failures %+v, want one for gemm_block", rep.Jobs)
 	}
 }
 

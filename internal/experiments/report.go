@@ -124,22 +124,16 @@ func (s *failureSink) failures() []JobFailure {
 // err is reserved for structural problems (unknown exhibit id, invalid
 // runner). The report is deterministic at every parallelism level.
 func (r *Runner) RunPartial(ids ...string) (*Report, error) {
-	run := exhibits
-	if len(ids) > 0 {
-		run = nil
-		for _, id := range ids {
-			found := false
-			for _, e := range exhibits {
-				if e.id == id {
-					run = append(run, e)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("experiments: unknown exhibit %q (have %v)", id, IDs())
-			}
+	if len(ids) == 0 {
+		ids = IDs()
+	}
+	var run []*entry
+	for _, id := range ids {
+		e := lookup(id)
+		if e == nil {
+			return nil, fmt.Errorf("experiments: unknown exhibit %q (have %v)", id, IDs())
 		}
+		run = append(run, e)
 	}
 
 	// Partial mode is a property of the whole pass, not of one exhibit:
@@ -163,11 +157,11 @@ func (r *Runner) RunPartial(ids ...string) (*Report, error) {
 // runExhibit assembles one exhibit with panic isolation: exhibit code
 // indexing into rows for a benchmark the sink dropped must not take down
 // the rest of the report.
-func (r *Runner) runExhibit(e exhibit) (t *Table, err error) {
+func (r *Runner) runExhibit(e *entry) (t *Table, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			t, err = nil, &PanicError{Value: v}
 		}
 	}()
-	return e.run(r)
+	return r.assemble(e)
 }

@@ -66,10 +66,14 @@ func TestSchemesExhibits(t *testing.T) {
 
 // schemeResults simulates the fast suite under one scheme and returns the
 // per-benchmark warped.sim.result/v1 bytes.
-func schemeResults(t *testing.T, r *Runner, scheme string) map[string][]byte {
+func schemeResults(t *testing.T, r *Runner, name string) map[string][]byte {
 	t.Helper()
+	benches, err := r.benchmarks()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string][]byte{}
-	if err := r.forEach(r.cfgScheme(scheme), func(b *kernels.Benchmark, res *sim.Result) error {
+	if err := r.forEach(benches, r.config(scheme(name)), func(b *kernels.Benchmark, res *sim.Result) error {
 		bts, err := json.Marshal(res)
 		if err != nil {
 			return err

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6): one runner per exhibit, returning a Table of per-benchmark
-// series that can be rendered as aligned text. Simulation results are
-// memoized per (benchmark, configuration), so regenerating the full set runs
-// each distinct configuration exactly once.
+// evaluation (§6) as a Table of per-benchmark series that renders as
+// aligned text or CSV. Each exhibit is one entry in exhibits.go; most are
+// benchmark × configuration columns that one function, build, fills.
+// Simulation results are memoized per (benchmark, configuration), so
+// regenerating the full set runs each distinct configuration exactly once.
 package experiments
 
 import (

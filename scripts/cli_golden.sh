@@ -55,6 +55,7 @@ done
 
 run warpedbench-all.txt warpedbench -exp all -scale small
 run warpedbench-all-off.txt warpedbench -exp all -scale small -compression off
+run warpedbench-all-fpc.txt warpedbench -exp all -scale small -compression fpc
 run warpedreport-tables.md warpedreport -scale small -tables
 run warpedsim-compare.txt warpedsim -bench bfs -scale small -compare
 run warpedsim-compare.json warpedsim -bench bfs -scale small -compare -json
