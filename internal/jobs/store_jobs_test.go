@@ -233,6 +233,39 @@ func TestTraceRefSurvivesRestart(t *testing.T) {
 		t.Fatalf("replay-from-disk result differs from the recording:\n  %s\n  %s", wb, gb)
 	}
 
+	// The record job also stored its own result, so the replay above was
+	// answered from disk. Under a configuration nothing stored, the trace
+	// read back from disk must actually drive a simulation.
+	cfgNew := testConfig()
+	cfgNew.CompressLatency = 5
+	rep2, err := m2.SubmitRequest(jobs.Request{Config: cfgNew, Mode: jobs.ModeReplay, TraceRef: ref})
+	if err != nil {
+		t.Fatalf("replay of persisted ref %s under a new config: %v", ref, err)
+	}
+	replayed := waitDone(t, rep2)
+	events, _, cancel := rep2.Subscribe()
+	cancel()
+	simulated := false
+	for _, ev := range events {
+		simulated = simulated || ev.Kind == "sim-start"
+	}
+	if !simulated {
+		t.Fatalf("replay under a new config events = %+v, want a sim-start", events)
+	}
+	if c := m2.Stats().Completed; c != 1 {
+		t.Fatalf("Completed = %d after the new-config replay, want 1", c)
+	}
+	fresh := newManager(t, jobs.Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+	exe, err := fresh.Submit("zz-hold", cfgNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, _ := json.Marshal(replayed)
+	eb, _ := json.Marshal(waitDone(t, exe))
+	if string(rb) != string(eb) {
+		t.Fatalf("replay of a disk-loaded trace differs from execute:\n  replay:  %s\n  execute: %s", rb, eb)
+	}
+
 	cfg2 := testConfig()
 	cfg2.CompressLatency = 7 // distinct config so nothing coalesces
 	rec2, err := m2.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg2, Mode: jobs.ModeRecord})
