@@ -71,7 +71,8 @@ cluster-smoke:
 # store-smoke boots a warpedd worker with a disk store, drains it with
 # SIGTERM mid-exercise, restarts it on the same store directory, and
 # asserts the repeat campaign is served from the store with a
-# byte-identical report (README "Serving", DESIGN.md §16).
+# byte-identical report, and that a trace recorded before the restart
+# replays from disk after it (README "Serving", DESIGN.md §16).
 store-smoke:
 	bash scripts/store_restart_smoke.sh
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // EventKind classifies one entry of the engine's progress stream.
@@ -130,11 +131,11 @@ type engine struct {
 	// Record/replay split (see recordreplay.go): when enabled, the first job
 	// per benchmark runs the functional front-end once in record mode and
 	// every other configuration replays the captured trace. traces is the
-	// per-benchmark single-flight cache, bounded by traceBudget bytes (LRU).
-	traceBudget int64
-	traceMu     sync.Mutex
-	traces      map[string]*traceEntry
-	traceClock  int64
+	// per-benchmark single-flight cache; traceUse bounds its completed
+	// recordings by bytes, and its victims are deleted from traces.
+	traceMu  sync.Mutex
+	traces   map[string]*traceEntry
+	traceUse *store.Tracker
 
 	progressMu sync.Mutex
 	progress   ProgressFunc

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exectrace"
 	"repro/internal/kernels"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // EngineConfig configures a standalone Engine built with NewEngine. The
@@ -84,8 +85,8 @@ func NewEngine(ctx context.Context, cfg EngineConfig) *Engine {
 		smParallel:  max(cfg.SMParallel, 0),
 		memoize:     cfg.Memoize,
 		calls:       make(map[string]*call),
-		traceBudget: defaultTraceBudget,
 		traces:      make(map[string]*traceEntry),
+		traceUse:    store.NewTracker(0, defaultTraceBudget),
 		progress:    cfg.Progress,
 	}
 	if cfg.RetryBackoff > 0 {

@@ -21,8 +21,10 @@ import (
 // check entirely.
 
 // defaultTraceBudget bounds the resident decoded-trace cache; least
-// recently used benchmarks are evicted past it. Entries currently being
-// waited on stay reachable through their waiters regardless.
+// recently used benchmarks are evicted past it (store.Tracker's policy, so
+// the newest recording stays even when it alone exceeds the budget).
+// Entries currently being waited on stay reachable through their waiters
+// regardless.
 const defaultTraceBudget int64 = 1 << 30
 
 // traceMirrorInterval is how often a joiner waiting for an in-flight
@@ -41,8 +43,6 @@ type traceEntry struct {
 	// Written once before done closes, read-only after.
 	lt  *exectrace.Launch
 	err error
-
-	lastUse int64 // engine.traceClock at last touch (LRU)
 }
 
 // runSimRR is the engine's job function when record/replay is enabled: an
@@ -56,12 +56,11 @@ func (e *engine) runSimRR(ctx context.Context, b *kernels.Benchmark, c sim.Confi
 	}
 
 	e.traceMu.Lock()
-	e.traceClock++
 	ent, ok := e.traces[b.Name]
 	if ok {
-		ent.lastUse = e.traceClock
+		e.traceUse.Touch(b.Name)
 	} else {
-		ent = &traceEntry{done: make(chan struct{}), beat: beat, lastUse: e.traceClock}
+		ent = &traceEntry{done: make(chan struct{}), beat: beat}
 		e.traces[b.Name] = ent
 	}
 	e.traceMu.Unlock()
@@ -88,7 +87,14 @@ func (e *engine) recordInto(ctx context.Context, ent *traceEntry, b *kernels.Ben
 	res, lt, err := e.recordSim(ctx, b, c, beat)
 	ent.lt, ent.err = lt, err
 	e.traceMu.Lock()
-	if err != nil && !errors.Is(err, sim.ErrUntraceable) {
+	switch {
+	case err == nil:
+		// Only completed recordings are budgeted. Jobs already holding an
+		// evicted entry keep using it; eviction only forgets the cache key.
+		for _, victim := range e.traceUse.Add(b.Name, lt.MemBytes()) {
+			delete(e.traces, victim)
+		}
+	case !errors.Is(err, sim.ErrUntraceable):
 		// Transient or environmental failure: evict so a later requester
 		// re-records. ErrUntraceable is a deterministic property of the
 		// benchmark, so that entry stays as a cheap negative cache and
@@ -98,7 +104,6 @@ func (e *engine) recordInto(ctx context.Context, ent *traceEntry, b *kernels.Ben
 	e.traceMu.Unlock()
 	close(ent.done)
 	if err == nil {
-		e.evictTraces()
 		return res, nil
 	}
 	if errors.Is(err, sim.ErrUntraceable) {
@@ -129,48 +134,6 @@ func (e *engine) waitTrace(ctx context.Context, ent *traceEntry, beat *atomic.Ui
 		case <-t.C:
 			beat.Store(ent.beat.Load())
 		}
-	}
-}
-
-// evictTraces drops least-recently-used completed traces until the cache
-// fits the budget. In-flight entries (done still open) are never dropped;
-// jobs already holding an evicted entry keep using it — eviction only
-// forgets the cache key.
-func (e *engine) evictTraces() {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	var total int64
-	for _, ent := range e.traces {
-		select {
-		case <-ent.done:
-		default:
-			continue // recording in flight; lt not published until done closes
-		}
-		if ent.lt != nil {
-			total += ent.lt.MemBytes()
-		}
-	}
-	for total > e.traceBudget {
-		var name string
-		var oldest *traceEntry
-		for n, ent := range e.traces {
-			select {
-			case <-ent.done:
-			default:
-				continue // recording in flight
-			}
-			if ent.lt == nil {
-				continue // negative cache, no memory to reclaim
-			}
-			if oldest == nil || ent.lastUse < oldest.lastUse {
-				name, oldest = n, ent
-			}
-		}
-		if oldest == nil {
-			return
-		}
-		total -= oldest.lt.MemBytes()
-		delete(e.traces, name)
 	}
 }
 

@@ -1,27 +1,27 @@
 // Package jobs is the serving layer's execution subsystem: a bounded FIFO
 // job queue with admission control, a worker pool that runs simulations on
 // the exported experiments engine (single-flight dedup, retries, panic
-// isolation, stall watchdog), and a bounded LRU result cache keyed by the
-// same config signature as the engine — one identity, so the two caches
-// can never drift. Jobs run in one of three modes: execute (the classic
-// full simulation), record (execute plus capture of the functional
-// front-end as a warped.trace/v1 launch, retained in a bounded trace store
-// under a ref), and replay (drive the timing back-end from a stored
-// recording — byte-identical results without re-executing the front-end).
+// isolation, stall watchdog), and a tiered result lookup — a bounded
+// memory layer in front of the optional disk store — keyed by the same
+// config signature as the engine, so the two can never drift. Jobs run in
+// one of three modes: execute (the classic full simulation), record
+// (execute plus capture of the functional front-end as a warped.trace/v1
+// launch, retained under a ref in a second tier of the same shape), and
+// replay (drive the timing back-end from a stored recording —
+// byte-identical results without re-executing the front-end).
 // internal/server exposes it over HTTP; see DESIGN.md §13 for the
-// backpressure policy and §15 for the record/replay split.
+// backpressure policy and the tiers, §15 for the record/replay split.
 package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
-
-	"bytes"
-	"encoding/json"
 
 	"repro/internal/exectrace"
 	"repro/internal/experiments"
@@ -61,8 +61,9 @@ const (
 )
 
 // Event is one entry of a job's progress stream, served over SSE by the
-// server. Lifecycle events (queued, running, done, failed, cache-hit) come
-// from the Manager; sim-* and coalesced events are the engine's progress
+// server. Lifecycle events (queued, running, done, failed, and cache-hit or
+// store-hit for a submission answered from memory or disk) come from the
+// Manager; sim-* and coalesced events are the engine's progress
 // stream scoped to this job's (benchmark, signature) key.
 type Event struct {
 	// Seq is the event's position in the job's history, assigned at append
@@ -328,8 +329,9 @@ type Config struct {
 	// QueueDepth bounds the FIFO admission queue; submissions beyond it
 	// are rejected with ErrQueueFull. <= 0 means 64.
 	QueueDepth int
-	// CacheSize bounds the LRU result cache in entries; 0 disables
-	// caching, < 0 means the 1024-entry default.
+	// CacheSize bounds the result tier's memory layer in entries, least
+	// recently used first; 0 disables it (the disk store is still probed),
+	// < 0 means the 1024-entry default.
 	CacheSize int
 	// RetainJobs bounds how many finished jobs stay queryable; the oldest
 	// finished jobs are forgotten beyond it. <= 0 means 1024.
@@ -346,7 +348,7 @@ type Config struct {
 	TraceStoreBytes int64
 	// Store, when non-nil, is the disk-backed write-through store:
 	// completed results and recorded traces are persisted to it
-	// asynchronously, and submissions that miss the in-memory LRU are
+	// asynchronously, and submissions that miss the memory layer are
 	// served from it — so a restarted process answers repeat sweeps
 	// without re-simulating. The Manager does not close it.
 	Store *store.Store
@@ -377,9 +379,9 @@ type Stats struct {
 	RejectedFull     uint64
 	RejectedDraining uint64
 
-	CacheHits      uint64 // served entirely from the LRU result cache
+	CacheHits      uint64 // served from the result tier's memory layer
 	CacheMisses    uint64
-	CacheEvictions uint64 // results dropped by LRU capacity pressure
+	CacheEvictions uint64 // results dropped from memory by capacity pressure
 	CacheEntries   int
 
 	TracesRecorded    uint64 // traces captured by record jobs over the process lifetime
@@ -425,9 +427,9 @@ type task struct {
 	launch *exectrace.Launch
 }
 
-// Manager owns the queue, the worker pool, the engine and the result
-// cache. Build one with NewManager; shut it down with Drain (graceful)
-// and/or Close.
+// Manager owns the queue, the worker pool, the engine and the result and
+// trace tiers. Build one with NewManager; shut it down with Drain
+// (graceful) and/or Close.
 type Manager struct {
 	cfg    Config
 	eng    *experiments.Engine
@@ -445,6 +447,11 @@ type Manager struct {
 	storeWG sync.WaitGroup
 	store   *store.Store // nil when no disk store is configured
 
+	// results is keyed by storeKey, traces by trace ref. Their mutexes are
+	// leaves below mu.
+	results *tier[*sim.Result]
+	traces  *tier[storedTrace]
+
 	// testWriteDelay stalls every write-through persist; only the
 	// drain-flush test sets it (before any submission), to prove Drain
 	// waits for persists that are still in flight.
@@ -456,8 +463,7 @@ type Manager struct {
 	jobs     map[string]*Job
 	finished []string          // finished job IDs, oldest first (retention ring)
 	byKey    map[string][]*Job // running jobs by sim key, for event fanout
-	cache    *lru
-	traces   *traceStore
+	refs     refMint
 	nextID   uint64
 
 	submitted, completed, failed      uint64
@@ -491,19 +497,25 @@ func NewManager(ctx context.Context, cfg Config) *Manager {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	m := &Manager{
-		cfg:    cfg,
-		cancel: cancel,
-		fq:     newFairQueue(cfg.QueueDepth, cfg.Tenants),
-		jobs:   make(map[string]*Job),
-		byKey:  make(map[string][]*Job),
-		cache:  newLRU(cfg.CacheSize),
-		traces: newTraceStore(cfg.TraceStore, cfg.TraceStoreBytes),
-		store:  cfg.Store,
+		cfg:     cfg,
+		cancel:  cancel,
+		fq:      newFairQueue(cfg.QueueDepth, cfg.Tenants),
+		jobs:    make(map[string]*Job),
+		byKey:   make(map[string][]*Job),
+		store:   cfg.Store,
+		results: newTier[*sim.Result](cfg.CacheSize, 0, nil),
+		traces:  newTier(cfg.TraceStore, cfg.TraceStoreBytes, storedTrace.memBytes),
+		// Trace refs carry a per-process nonce, so recordings persisted by
+		// a previous process (or a live peer sharing the store directory)
+		// can never collide with refs this process mints — no startup scan
+		// needed; replays of old refs resolve through the disk store on
+		// demand.
+		refs: refMint{nonce: refNonce()},
 	}
-	// Trace refs carry a per-process nonce, so recordings persisted by a
-	// previous process (or a live peer sharing the store directory) can
-	// never collide with refs this process mints — no startup scan needed;
-	// replays of old refs resolve through the disk store on demand.
+	if cfg.Store != nil {
+		m.results.backedBy(cfg.Store, store.NSResult, resultCodec, m.writeBehind)
+		m.traces.backedBy(cfg.Store, store.NSTrace, traceCodec(cfg.Scale), m.writeBehind)
+	}
 	m.eng = experiments.NewEngine(ctx, experiments.EngineConfig{
 		Parallelism: cfg.Workers,
 		SMParallel:  cfg.SMParallel,
@@ -511,8 +523,8 @@ func NewManager(ctx context.Context, cfg Config) *Manager {
 		Retries:     cfg.Retries,
 		Watchdog:    cfg.Watchdog,
 		Progress:    m.onEngineEvent,
-		// No engine memoization: the bounded LRU above is the retention
-		// policy; the engine contributes single-flight dedup only.
+		// No engine memoization: the result tier is the retention policy;
+		// the engine contributes single-flight dedup only.
 		Memoize: false,
 	})
 	for i := 0; i < cfg.Workers; i++ {
@@ -525,81 +537,35 @@ func NewManager(ctx context.Context, cfg Config) *Manager {
 // key is the shared cache/single-flight identity of a submission.
 func key(benchmark, signature string) string { return benchmark + "|" + signature }
 
-// storeKey is the disk store's result identity. It prefixes the in-memory
-// key with the workload scale because ConfigSignature covers only the sim
-// configuration — the same config at a different scale is a different
-// simulation, and the disk store outlives any single process's -scale flag.
+// storeKey is the result tier's key, in memory and on disk. It prefixes
+// the single-flight key with the workload scale because ConfigSignature
+// covers only the sim configuration — the same config at a different scale
+// is a different simulation, and the disk store outlives any single
+// process's -scale flag.
 func (m *Manager) storeKey(benchmark, signature string) string {
 	return m.cfg.Scale.String() + "|" + key(benchmark, signature)
 }
 
-// loadStoredResult probes the disk store for a completed result. A payload
-// that passes the store's CRC but no longer unmarshals is quarantined and
-// reported as a miss — degrade to recompute, never serve a wrong result.
-// Called WITHOUT m.mu held: this is disk I/O, and a submission that misses
-// the memory cache must not stall every other manager operation behind it.
-func (m *Manager) loadStoredResult(benchmark, signature string) (*sim.Result, bool) {
-	data, ok := m.store.Get(store.NSResult, m.storeKey(benchmark, signature))
-	if !ok {
-		return nil, false
-	}
-	res := new(sim.Result)
-	if err := json.Unmarshal(data, res); err != nil {
-		m.store.Quarantine(store.NSResult, m.storeKey(benchmark, signature), err)
-		return nil, false
-	}
-	return res, true
+// resultCodec persists results as their warped.sim.result/v1 JSON.
+var resultCodec = codec[*sim.Result]{
+	encode: func(res *sim.Result) ([]byte, error) { return json.Marshal(res) },
+	decode: func(data []byte) (*sim.Result, error) {
+		res := new(sim.Result)
+		return res, json.Unmarshal(data, res)
+	},
 }
 
-// loadStoredTrace probes the disk store for a recorded trace, returning
-// the launch and the benchmark it was recorded from. Undecodable blobs are
-// quarantined. Called WITHOUT m.mu held; the caller re-admits the trace to
-// the in-memory store under the lock.
-func (m *Manager) loadStoredTrace(ref string) (*exectrace.Launch, string, bool) {
-	data, ok := m.store.Get(store.NSTrace, ref)
-	if !ok {
-		return nil, "", false
-	}
-	tr, err := exectrace.Read(bytes.NewReader(data))
-	if err == nil && len(tr.Launches) != 1 {
-		err = fmt.Errorf("trace blob holds %d launches, want 1", len(tr.Launches))
-	}
-	if err != nil {
-		m.store.Quarantine(store.NSTrace, ref, err)
-		return nil, "", false
-	}
-	return tr.Launches[0], tr.Meta.Benchmark, true
-}
-
-// persistResult writes one completed result through to the disk store.
-// Runs on its own goroutine under storeWG; errors are absorbed (and counted
-// by the store) — persistence is an optimization, never a job failure.
-func (m *Manager) persistResult(benchmark, signature string, res *sim.Result) {
-	defer m.storeWG.Done()
-	if m.testWriteDelay > 0 {
-		time.Sleep(m.testWriteDelay)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	_ = m.store.Put(store.NSResult, m.storeKey(benchmark, signature), data)
-}
-
-// persistTrace writes one recorded launch through to the disk store as a
-// single-launch warped.trace/v1 container, so a future process can replay
-// the ref. Runs on its own goroutine under storeWG.
-func (m *Manager) persistTrace(ref, benchmark string, lt *exectrace.Launch) {
-	defer m.storeWG.Done()
-	var buf bytes.Buffer
-	t := &exectrace.Trace{
-		Meta:     exectrace.Meta{Benchmark: benchmark, Scale: m.cfg.Scale.String()},
-		Launches: []*exectrace.Launch{lt},
-	}
-	if err := exectrace.Write(&buf, t); err != nil {
-		return
-	}
-	_ = m.store.Put(store.NSTrace, ref, buf.Bytes())
+// writeBehind runs one write-through persist on its own goroutine under
+// storeWG, so Drain and Close flush it before returning.
+func (m *Manager) writeBehind(write func()) {
+	m.storeWG.Add(1)
+	go func() {
+		defer m.storeWG.Done()
+		if m.testWriteDelay > 0 {
+			time.Sleep(m.testWriteDelay)
+		}
+		write()
+	}()
 }
 
 // Request is one job submission: a benchmark and configuration, plus the
@@ -628,125 +594,77 @@ func (m *Manager) Submit(benchmark string, cfg sim.Config) (*Job, error) {
 }
 
 // SubmitRequest validates and admits one job. It returns the job
-// immediately: completed (cache hit), or queued for the worker pool.
-// Admission failures: ErrDraining once a drain has begun, ErrQueueFull
-// when the FIFO is at capacity, *UnknownBenchmarkError / *UnknownModeError
-// / *UnknownTraceError / config validation errors for bad requests.
+// immediately: completed (answered from memory or disk), or queued for the
+// worker pool. Admission failures: ErrDraining once a drain has begun,
+// ErrQueueFull when the FIFO is at capacity, *UnknownBenchmarkError /
+// *UnknownModeError / *UnknownTraceError / config validation errors for
+// bad requests.
 func (m *Manager) SubmitRequest(req Request) (*Job, error) {
-	mode, err := parseMode(string(req.Mode))
+	mode, b, err := validate(req)
 	if err != nil {
 		return nil, err
 	}
-	if req.TraceRef != "" && mode != ModeReplay {
-		return nil, fmt.Errorf("jobs: trace_ref is only valid with mode \"replay\" (got mode %q)", mode)
-	}
-	if mode == ModeReplay && req.TraceRef == "" {
-		return nil, fmt.Errorf("jobs: mode \"replay\" requires a trace_ref (record one first)")
-	}
-	if mode != ModeExecute && req.Config.Faults.Enabled() {
-		return nil, &sim.ConfigError{Field: "Faults", Reason: "fault injection corrupts functional state at commit time; record and replay require a fault-free functional front-end"}
-	}
-	var b *kernels.Benchmark
-	benchmark := req.Benchmark
-	if mode != ModeReplay {
-		var ok bool
-		if b, ok = kernels.ByName(benchmark); !ok {
-			return nil, &UnknownBenchmarkError{Name: benchmark}
-		}
-	}
 	cfg := req.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 
 	m.mu.Lock()
-	if m.draining {
-		m.rejectedDraining++
-		m.mu.Unlock()
+	draining := m.drainingLocked()
+	tenant, known := m.fq.tenantByName(req.Tenant)
+	m.mu.Unlock()
+	if draining {
 		return nil, ErrDraining
 	}
-	tenant, ok := m.fq.tenantByName(req.Tenant)
-	if !ok {
-		m.mu.Unlock()
+	if !known {
 		return nil, fmt.Errorf("tenant %q: %w", req.Tenant, ErrUnknownTenant)
 	}
+
+	// The tiers probe the disk, so they are consulted without m.mu: a
+	// store read must not stall submissions, job completion and stats
+	// behind disk latency.
+	benchmark := req.Benchmark
 	var launch *exectrace.Launch
 	if mode == ModeReplay {
-		st, ok := m.traces.get(req.TraceRef)
-		if !ok && m.store != nil {
-			// The ref may have been recorded by a previous process (or
-			// evicted from memory): fall back to the disk store. The probe
-			// is disk I/O, so m.mu is dropped around it; the draining check
-			// is repeated after re-locking (see below).
-			m.mu.Unlock()
-			lt, bench, loaded := m.loadStoredTrace(req.TraceRef)
-			m.mu.Lock()
-			if m.draining {
-				m.rejectedDraining++
-				m.mu.Unlock()
-				return nil, ErrDraining
-			}
-			if loaded {
-				m.traces.insert(req.TraceRef, bench, lt)
-			}
-			st, ok = m.traces.get(req.TraceRef)
-		}
+		st, _, ok := m.traces.get(req.TraceRef)
 		if !ok {
-			m.mu.Unlock()
 			return nil, &UnknownTraceError{Ref: req.TraceRef}
 		}
 		if benchmark != "" && benchmark != st.benchmark {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("jobs: trace %s records benchmark %q, not %q", req.TraceRef, st.benchmark, benchmark)
 		}
-		benchmark = st.benchmark
-		launch = st.launch
+		benchmark, launch = st.benchmark, st.launch
 	}
 	signature := experiments.ConfigSignature(&cfg)
-	k := key(benchmark, signature)
-	// Record jobs exist to capture a trace, so a cached result must not
+	// Record jobs exist to capture a trace, so a stored result must not
 	// short-circuit them; execute and replay jobs produce byte-identical
-	// results by contract and share the cache freely.
+	// results by contract and share the result tier freely.
+	var (
+		res  *sim.Result
+		from layer
+		hit  bool
+	)
 	if mode != ModeRecord {
-		if res, hit := m.cache.get(k); hit {
+		res, from, hit = m.results.get(m.storeKey(benchmark, signature))
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.drainingLocked() {
+		return nil, ErrDraining
+	}
+	if mode != ModeRecord {
+		if hit && from == fromMemory {
 			m.cacheHits++
-			job := m.servedJobLocked(benchmark, signature, cfg, mode, req.TraceRef, tenant.viewName, "cache-hit", res)
-			m.mu.Unlock()
-			return job, nil
+			return m.servedJobLocked(benchmark, signature, cfg, mode, req.TraceRef, tenant.viewName, "cache-hit", res), nil
 		}
 		m.cacheMisses++
-		if m.store != nil {
-			// Disk probe outside m.mu: a store read (or a quarantine rename
-			// on a corrupt entry) must not stall submissions, job completion
-			// and stats behind disk latency.
-			m.mu.Unlock()
-			res, ok := m.loadStoredResult(benchmark, signature)
-			m.mu.Lock()
-			if m.draining {
-				m.rejectedDraining++
-				m.mu.Unlock()
-				return nil, ErrDraining
-			}
-			if cres, hit := m.cache.get(k); hit {
-				// An identical submission finished while we probed the disk.
-				m.cacheHits++
-				job := m.servedJobLocked(benchmark, signature, cfg, mode, req.TraceRef, tenant.viewName, "cache-hit", cres)
-				m.mu.Unlock()
-				return job, nil
-			}
-			if ok {
-				m.storeHits++
-				m.cache.add(k, res) // promote: the next identical submit is a memory hit
-				job := m.servedJobLocked(benchmark, signature, cfg, mode, req.TraceRef, tenant.viewName, "store-hit", res)
-				m.mu.Unlock()
-				return job, nil
-			}
+		if hit {
+			m.storeHits++
+			return m.servedJobLocked(benchmark, signature, cfg, mode, req.TraceRef, tenant.viewName, "store-hit", res), nil
 		}
 	}
 	// From here the submission will consume a worker. Admission is one
 	// atomic check: global depth, tenant quota, then the tenant's rate —
 	// in that order, so a submission into a full queue is never charged a
-	// rate token for work that was not admitted. Cache and store hits
+	// rate token for work that was not admitted. Memory and disk hits
 	// above are free: re-reading a result the fleet already paid for is
 	// not load.
 	job := m.newJobLocked(benchmark, signature, cfg, mode, req.TraceRef)
@@ -759,18 +677,52 @@ func (m *Manager) SubmitRequest(req Request) (*Job, error) {
 		if !errors.Is(err, ErrRateLimited) {
 			m.rejectedFull++
 		}
-		m.mu.Unlock()
 		return nil, err
 	}
 	m.submitted++
 	m.queued++
 	m.jobs[job.ID] = job
-	m.mu.Unlock()
 	return job, nil
 }
 
+// validate checks everything about a request that needs no Manager state
+// and returns its mode and, outside replay (where the trace names it), its
+// benchmark.
+func validate(req Request) (Mode, *kernels.Benchmark, error) {
+	mode, err := parseMode(string(req.Mode))
+	if err != nil {
+		return "", nil, err
+	}
+	if req.TraceRef != "" && mode != ModeReplay {
+		return "", nil, fmt.Errorf("jobs: trace_ref is only valid with mode \"replay\" (got mode %q)", mode)
+	}
+	if mode == ModeReplay && req.TraceRef == "" {
+		return "", nil, fmt.Errorf("jobs: mode \"replay\" requires a trace_ref (record one first)")
+	}
+	if mode != ModeExecute && req.Config.Faults.Enabled() {
+		return "", nil, &sim.ConfigError{Field: "Faults", Reason: "fault injection corrupts functional state at commit time; record and replay require a fault-free functional front-end"}
+	}
+	var b *kernels.Benchmark
+	if mode != ModeReplay {
+		var ok bool
+		if b, ok = kernels.ByName(req.Benchmark); !ok {
+			return "", nil, &UnknownBenchmarkError{Name: req.Benchmark}
+		}
+	}
+	return mode, b, req.Config.Validate()
+}
+
+// drainingLocked reports whether a drain has begun, counting the
+// submission it refuses. Caller holds m.mu.
+func (m *Manager) drainingLocked() bool {
+	if m.draining {
+		m.rejectedDraining++
+	}
+	return m.draining
+}
+
 // servedJobLocked registers a job that is already complete at submission —
-// a cache or store hit — with the event kind naming which layer served it.
+// a memory or disk hit — with the event kind naming which layer served it.
 // Caller holds m.mu.
 func (m *Manager) servedJobLocked(benchmark, signature string, cfg sim.Config, mode Mode, traceRef, tenantView, kind string, res *sim.Result) *Job {
 	job := m.newJobLocked(benchmark, signature, cfg, mode, traceRef)
@@ -834,11 +786,7 @@ func (m *Manager) Jobs() []JobView {
 	}
 	// IDs are zero-padded monotonic counters, so a lexical sort is
 	// submission order.
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && views[k-1].ID > views[k].ID; k-- {
-			views[k-1], views[k] = views[k], views[k-1]
-		}
-	}
+	sort.Slice(views, func(a, b int) bool { return views[a].ID < views[b].ID })
 	return views
 }
 
@@ -893,12 +841,9 @@ func (m *Manager) runJob(t task) {
 
 	m.mu.Lock()
 	if err == nil && lt != nil {
-		ref := m.traces.add(t.job.Benchmark, lt)
+		ref := m.refs.next()
+		m.traces.put(ref, storedTrace{benchmark: t.job.Benchmark, launch: lt})
 		t.job.setTraceRef(ref)
-		if m.store != nil {
-			m.storeWG.Add(1)
-			go m.persistTrace(ref, t.job.Benchmark, lt)
-		}
 	}
 	m.running--
 	peers := m.byKey[k]
@@ -912,11 +857,7 @@ func (m *Manager) runJob(t task) {
 		delete(m.byKey, k)
 	}
 	if err == nil && res != nil {
-		m.cache.add(k, res)
-		if m.store != nil {
-			m.storeWG.Add(1)
-			go m.persistResult(t.job.Benchmark, t.job.Signature, res)
-		}
+		m.results.put(m.storeKey(t.job.Benchmark, t.job.Signature), res)
 	}
 	if res != nil {
 		m.simCycles += res.Cycles
@@ -1056,6 +997,7 @@ func (m *Manager) Stats() Stats {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	rs, ts := m.results.stats(), m.traces.stats()
 	return Stats{
 		Submitted:         m.submitted,
 		Rejected:          m.rejectedFull + m.rejectedDraining,
@@ -1066,13 +1008,13 @@ func (m *Manager) Stats() Stats {
 		Coalesced:         m.coalesced,
 		CacheHits:         m.cacheHits,
 		CacheMisses:       m.cacheMisses,
-		CacheEvictions:    m.cache.evictions,
-		CacheEntries:      m.cache.len(),
-		TracesRecorded:    m.traces.stored,
-		TraceEvictions:    m.traces.evictions,
-		TraceEntries:      m.traces.len(),
-		TraceBytes:        m.traces.bytes(),
-		TraceEvictedBytes: m.traces.evictedBytes,
+		CacheEvictions:    rs.evictions,
+		CacheEntries:      rs.entries,
+		TracesRecorded:    m.refs.minted,
+		TraceEvictions:    ts.evictions,
+		TraceEntries:      ts.entries,
+		TraceBytes:        ts.bytes,
+		TraceEvictedBytes: ts.evictedBytes,
 		StoreEnabled:      enabled,
 		StoreHits:         m.storeHits,
 		StoreEntries:      ss.Entries,

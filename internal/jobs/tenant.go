@@ -256,38 +256,11 @@ func (fq *fairQueue) admit(ts *tenantState, t task) error {
 	if !fq.allowRateLocked(ts) {
 		return fmt.Errorf("tenant %q: %w", ts.spec.Name, ErrRateLimited)
 	}
-	fq.pushLocked(ts, t)
-	return nil
-}
-
-// push enqueues one task for ts, enforcing the global depth first (the
-// fleet is full: ErrQueueFull) and the tenant quota second (only this
-// tenant is over: ErrTenantQueueFull). It is admit without the rate
-// charge; tests drive the queue through it.
-func (fq *fairQueue) push(ts *tenantState, t task) error {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	if fq.closed {
-		return ErrDraining
-	}
-	if fq.size >= fq.depth {
-		return ErrQueueFull
-	}
-	if ts.spec.MaxQueued > 0 && len(ts.queue) >= ts.spec.MaxQueued {
-		ts.rejectedQuota++
-		return fmt.Errorf("tenant %q: %w", ts.spec.Name, ErrTenantQueueFull)
-	}
-	fq.pushLocked(ts, t)
-	return nil
-}
-
-// pushLocked appends the task and wakes a worker. Caller holds fq.mu and
-// has already passed the admission checks.
-func (fq *fairQueue) pushLocked(ts *tenantState, t task) {
 	ts.queue = append(ts.queue, t)
 	ts.submitted++
 	fq.size++
 	fq.cond.Signal()
+	return nil
 }
 
 // next blocks until a task is available and returns it, choosing among

@@ -23,12 +23,12 @@ func TestFairQueueSmoothWRR(t *testing.T) {
 	a, _ := fq.tenantByName("a")
 	b, _ := fq.tenantByName("b")
 	for i := 0; i < 4; i++ {
-		if err := fq.push(a, fqTask("a")); err != nil {
+		if err := fq.admit(a, fqTask("a")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := fq.push(b, fqTask("b")); err != nil {
+		if err := fq.admit(b, fqTask("b")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,11 +55,11 @@ func TestFairQueueNoStarvation(t *testing.T) {
 	heavy, _ := fq.tenantByName("heavy")
 	light, _ := fq.tenantByName("light")
 	for i := 0; i < 100; i++ {
-		if err := fq.push(heavy, fqTask("heavy")); err != nil {
+		if err := fq.admit(heavy, fqTask("heavy")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fq.push(light, fqTask("light")); err != nil {
+	if err := fq.admit(light, fqTask("light")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
@@ -77,10 +77,10 @@ func TestFairQueueNoStarvation(t *testing.T) {
 func TestFairQueueCloseDrains(t *testing.T) {
 	fq := newFairQueue(10, nil)
 	def, _ := fq.tenantByName("")
-	fq.push(def, fqTask("one")) //nolint:errcheck
-	fq.push(def, fqTask("two")) //nolint:errcheck
+	fq.admit(def, fqTask("one")) //nolint:errcheck
+	fq.admit(def, fqTask("two")) //nolint:errcheck
 	fq.close()
-	if err := fq.push(def, fqTask("three")); err == nil {
+	if err := fq.admit(def, fqTask("three")); err == nil {
 		t.Fatal("push accepted after close")
 	}
 	for _, want := range []string{"one", "two"} {

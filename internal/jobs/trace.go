@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/exectrace"
-	"repro/internal/store"
+	"repro/internal/kernels"
 )
 
 // Mode selects how a submitted job drives the simulator: full execution
@@ -61,40 +62,54 @@ func (e *UnknownTraceError) Error() string {
 // benchmark it was recorded from, checked at replay submission so a trace
 // can never be replayed under the wrong benchmark's label.
 type storedTrace struct {
-	ref       string
 	benchmark string
 	launch    *exectrace.Launch
 }
 
-// traceStore retains recorded traces under refs of the form
-// "trace-<nonce>-000001": a per-process random nonce plus a monotonic
-// counter. The nonce is what makes refs collision-free across processes —
-// many workers may write through to one shared disk store directory with
-// no coordination, and two of them minting the same ref would silently
-// overwrite each other's recordings (and later replay the wrong one).
-// Entries are bounded two ways: an entry-count cap and a byte budget over
-// the traces' resident memory (Launch.MemBytes), both enforced
-// least-recently-used first via the same store.Tracker policy the disk
-// store uses. It is not safe for concurrent use; the Manager serializes
-// access under its mutex.
-type traceStore struct {
-	maxEntries int
-	tracker    *store.Tracker
-	entries    map[string]*storedTrace
-	nonce      string
-	nextRef    uint64
+func (st storedTrace) memBytes() int64 { return st.launch.MemBytes() }
 
-	stored, evictions uint64
-	evictedBytes      uint64
+// traceCodec persists a recording as a single-launch warped.trace/v1
+// container, so a future process can replay its ref. A blob that decodes
+// to anything but exactly one launch is rejected (and so quarantined).
+func traceCodec(scale kernels.Scale) codec[storedTrace] {
+	return codec[storedTrace]{
+		encode: func(st storedTrace) ([]byte, error) {
+			var buf bytes.Buffer
+			err := exectrace.Write(&buf, &exectrace.Trace{
+				Meta:     exectrace.Meta{Benchmark: st.benchmark, Scale: scale.String()},
+				Launches: []*exectrace.Launch{st.launch},
+			})
+			return buf.Bytes(), err
+		},
+		decode: func(data []byte) (storedTrace, error) {
+			tr, err := exectrace.Read(bytes.NewReader(data))
+			if err != nil {
+				return storedTrace{}, err
+			}
+			if len(tr.Launches) != 1 {
+				return storedTrace{}, fmt.Errorf("trace blob holds %d launches, want 1", len(tr.Launches))
+			}
+			return storedTrace{benchmark: tr.Meta.Benchmark, launch: tr.Launches[0]}, nil
+		},
+	}
 }
 
-func newTraceStore(maxEntries int, budgetBytes int64) *traceStore {
-	return &traceStore{
-		maxEntries: maxEntries,
-		tracker:    store.NewTracker(budgetBytes),
-		entries:    make(map[string]*storedTrace),
-		nonce:      refNonce(),
-	}
+// refMint mints trace refs of the form "trace-<nonce>-000001": a
+// per-process random nonce plus a monotonic counter. The nonce is what
+// makes refs collision-free across processes — many workers may write
+// through to one shared disk store directory with no coordination, and two
+// of them minting the same ref would silently overwrite each other's
+// recordings (and later replay the wrong one). Not safe for concurrent
+// use; the Manager mints under its mutex.
+type refMint struct {
+	nonce  string
+	minted uint64 // Stats.TracesRecorded
+}
+
+// next mints the ref for a freshly recorded trace.
+func (r *refMint) next() string {
+	r.minted++
+	return fmt.Sprintf("trace-%s-%06d", r.nonce, r.minted)
 }
 
 // refNonce draws the per-process random component of minted trace refs.
@@ -108,52 +123,3 @@ func refNonce() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// add retains a freshly recorded trace under the next ref and returns it.
-func (s *traceStore) add(benchmark string, lt *exectrace.Launch) string {
-	s.nextRef++
-	ref := fmt.Sprintf("trace-%s-%06d", s.nonce, s.nextRef)
-	s.stored++
-	s.insert(ref, benchmark, lt)
-	return ref
-}
-
-// insert retains a trace under an explicit ref — add's tail, and the path
-// by which a ref recovered from the disk store re-enters memory. Both the
-// byte budget and the entry cap are applied; the just-inserted ref is never
-// its own victim.
-func (s *traceStore) insert(ref, benchmark string, lt *exectrace.Launch) {
-	if _, ok := s.entries[ref]; ok {
-		s.tracker.Touch(ref)
-		return
-	}
-	s.entries[ref] = &storedTrace{ref: ref, benchmark: benchmark, launch: lt}
-	victims := s.tracker.Add(ref, lt.MemBytes())
-	for s.tracker.Len() > s.maxEntries {
-		lru := s.tracker.Keys()[0]
-		if lru == ref {
-			break
-		}
-		s.tracker.Remove(lru)
-		victims = append(victims, lru)
-	}
-	for _, v := range victims {
-		if st, ok := s.entries[v]; ok {
-			s.evictedBytes += uint64(st.launch.MemBytes())
-			delete(s.entries, v)
-			s.evictions++
-		}
-	}
-}
-
-// get resolves a ref to its retained trace, refreshing its recency.
-func (s *traceStore) get(ref string) (*storedTrace, bool) {
-	st, ok := s.entries[ref]
-	if ok {
-		s.tracker.Touch(ref)
-	}
-	return st, ok
-}
-
-func (s *traceStore) len() int     { return len(s.entries) }
-func (s *traceStore) bytes() int64 { return s.tracker.Bytes() }

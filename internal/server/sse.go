@@ -22,9 +22,9 @@ const defaultSSEKeepAlive = 15 * time.Second
 // event history is replayed first (so late subscribers see the whole
 // story), then live events follow until the job finishes or the client
 // disconnects. Event names are the jobs.Event kinds: queued, running,
-// sim-start, sim-retry, sim-done, coalesced, cache-hit, done, failed —
-// plus the advisory "draining" kind emitted when the daemon begins a
-// graceful shutdown with the job still in flight.
+// sim-start, sim-retry, sim-done, coalesced, cache-hit, store-hit, done,
+// failed — plus the advisory "draining" kind emitted when the daemon
+// begins a graceful shutdown with the job still in flight.
 // A finished job's stream replays and ends immediately, which makes
 //
 //	curl -N .../v1/jobs/job-000001/events

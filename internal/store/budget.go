@@ -2,22 +2,24 @@ package store
 
 import "container/list"
 
-// Tracker is the byte-budget eviction policy shared by the disk store and
-// the jobs layer's in-memory trace store: least-recently-used entries are
-// evicted first once the running total exceeds the budget, and the entry
-// being admitted is never its own victim — a store must be able to hold at
-// least the result it just paid for, even when that single entry exceeds
-// the whole budget.
+// Tracker is the one eviction policy of every bounded cache in the
+// repository: the disk store, the serving layer's result and trace tiers
+// and the experiment engine's trace cache. It bounds entries, bytes, or
+// both; least-recently-used entries are evicted first while either bound
+// is exceeded, and the entry being admitted is never its own victim — a
+// cache must be able to hold at least the entry it just paid for, even
+// when that single entry exceeds the whole budget.
 //
 // Tracker only decides; it never touches entry data. Callers apply the
 // returned victim list to their own backing storage (delete files, drop
 // map entries) and account the reclaimed bytes themselves. It is not safe
 // for concurrent use; callers serialize access under their own mutex.
 type Tracker struct {
-	budget int64 // <= 0 means unlimited
-	total  int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
+	maxEntries int   // <= 0 means no entry bound
+	budget     int64 // <= 0 means no byte bound
+	total      int64
+	ll         *list.List // front = most recently used
+	items      map[string]*list.Element
 }
 
 type trackerItem struct {
@@ -25,17 +27,18 @@ type trackerItem struct {
 	size int64
 }
 
-// NewTracker builds a tracker enforcing budget bytes (<= 0 disables
-// eviction; the tracker still accounts sizes).
-func NewTracker(budget int64) *Tracker {
-	return &Tracker{budget: budget, ll: list.New(), items: make(map[string]*list.Element)}
+// NewTracker builds a tracker holding at most maxEntries entries and
+// budget bytes. A bound <= 0 is no bound; with both off the tracker never
+// evicts but still accounts sizes.
+func NewTracker(maxEntries int, budget int64) *Tracker {
+	return &Tracker{maxEntries: maxEntries, budget: budget, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Add admits key at size (replacing any previous size for the same key),
 // marks it most recently used, and returns the keys that must be evicted —
-// least recently used first — to bring the total back within budget. The
-// returned keys are already removed from the tracker; the freshly added key
-// is never among them.
+// least recently used first — to bring the tracker back within both
+// bounds. The returned keys are already removed from the tracker; the
+// freshly added key is never among them.
 func (t *Tracker) Add(key string, size int64) (evicted []string) {
 	if el, ok := t.items[key]; ok {
 		it := el.Value.(*trackerItem)
@@ -46,10 +49,7 @@ func (t *Tracker) Add(key string, size int64) (evicted []string) {
 		t.items[key] = t.ll.PushFront(&trackerItem{key: key, size: size})
 		t.total += size
 	}
-	if t.budget <= 0 {
-		return nil
-	}
-	for t.total > t.budget && t.ll.Len() > 1 {
+	for t.over() {
 		oldest := t.ll.Back()
 		it := oldest.Value.(*trackerItem)
 		if it.key == key {
@@ -59,6 +59,10 @@ func (t *Tracker) Add(key string, size int64) (evicted []string) {
 		evicted = append(evicted, it.key)
 	}
 	return evicted
+}
+
+func (t *Tracker) over() bool {
+	return (t.maxEntries > 0 && t.ll.Len() > t.maxEntries) || (t.budget > 0 && t.total > t.budget)
 }
 
 // Touch marks key most recently used; unknown keys are ignored.
@@ -78,20 +82,6 @@ func (t *Tracker) Remove(key string) int64 {
 	size := el.Value.(*trackerItem).size
 	t.removeElement(el)
 	return size
-}
-
-// Size reports the tracked size of key (0 when unknown).
-func (t *Tracker) Size(key string) int64 {
-	if el, ok := t.items[key]; ok {
-		return el.Value.(*trackerItem).size
-	}
-	return 0
-}
-
-// Has reports whether key is tracked.
-func (t *Tracker) Has(key string) bool {
-	_, ok := t.items[key]
-	return ok
 }
 
 // Keys returns every tracked key, least recently used first.

@@ -2,10 +2,10 @@
 // expensive simulation artifacts survive process lifetimes: completed
 // warped.sim.result/v1 documents keyed by the cfg/v1
 // experiments.ConfigSignature job key, and warped.trace/v1 recordings
-// keyed by their trace refs. The serving layer (internal/jobs) writes
-// through to it under its in-memory LRU, so a restarted warpedd serves
-// repeat sweeps from disk instead of re-simulating work the fleet already
-// paid for.
+// keyed by their trace refs. The serving layer (internal/jobs) puts it
+// behind its in-memory tiers and writes through to it, so a restarted
+// warpedd serves repeat sweeps from disk instead of re-simulating work the
+// fleet already paid for.
 //
 // The durability contract:
 //
@@ -17,8 +17,8 @@
 //     quarantine/ and reported as a miss — the caller recomputes, and the
 //     store never serves a wrong result.
 //   - Capacity is a byte budget: least-recently-used entries are deleted
-//     once the total exceeds it (the same Tracker policy the in-memory
-//     trace store uses), and evicted bytes are surfaced in Stats.
+//     once the total exceeds it (the same Tracker policy every in-memory
+//     cache uses), and evicted bytes are surfaced in Stats.
 //
 // Multiple processes may share one directory (workers on a common
 // filesystem): an index miss probes the disk before reporting a miss, and
@@ -130,7 +130,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir, opts: opts, tracker: NewTracker(opts.BudgetBytes)}
+	s := &Store{dir: dir, opts: opts, tracker: NewTracker(0, opts.BudgetBytes)}
 
 	// A tmp file is by definition an interrupted write: its entry was never
 	// renamed into place, so the result it held was never promised to

@@ -376,7 +376,7 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 func TestTrackerPolicy(t *testing.T) {
-	tr := NewTracker(100)
+	tr := NewTracker(0, 100)
 	if ev := tr.Add("a", 40); len(ev) != 0 {
 		t.Fatalf("eviction under budget: %v", ev)
 	}
@@ -402,10 +402,55 @@ func TestTrackerPolicy(t *testing.T) {
 		t.Fatal("Remove of unknown key returned non-zero")
 	}
 	// Unlimited tracker never evicts.
-	un := NewTracker(0)
+	un := NewTracker(0, 0)
 	for i := 0; i < 100; i++ {
 		if ev := un.Add(fmt.Sprintf("k%d", i), 1<<20); len(ev) != 0 {
 			t.Fatalf("unlimited tracker evicted %v", ev)
+		}
+	}
+
+	// Each bound alone and both together evict least recently used first,
+	// and the key being admitted is never a victim — not even when it
+	// alone exceeds the byte budget.
+	type add struct {
+		key     string
+		size    int64
+		evicted string // comma-joined victims, oldest first
+	}
+	for _, c := range []struct {
+		name       string
+		maxEntries int
+		budget     int64
+		adds       []add
+		keys       string // survivors, least recently used first
+	}{
+		{"entries only", 2, 0, []add{
+			{"a", 1 << 20, ""}, {"b", 1 << 20, ""}, {"c", 1 << 20, "a"}, {"b", 5, ""}, {"d", 5, "c"},
+		}, "b,d"},
+		{"bytes only", 0, 100, []add{
+			{"a", 30, ""}, {"b", 30, ""}, {"c", 30, ""}, {"d", 30, "a"}, {"big", 500, "b,c,d"}, {"e", 1, "big"},
+		}, "e"},
+		{"both bounds", 3, 100, []add{
+			{"a", 10, ""}, {"b", 10, ""}, {"c", 10, ""}, {"d", 10, "a"}, {"e", 90, "b,c"}, {"f", 200, "d,e"},
+		}, "f"},
+		{"admitted key over both", 1, 10, []add{
+			{"a", 50, ""}, {"b", 50, "a"}, {"b", 60, ""},
+		}, "b"},
+	} {
+		tr := NewTracker(c.maxEntries, c.budget)
+		for _, a := range c.adds {
+			ev := tr.Add(a.key, a.size)
+			if got := strings.Join(ev, ","); got != a.evicted {
+				t.Fatalf("%s: Add(%s, %d) evicted [%s], want [%s]", c.name, a.key, a.size, got, a.evicted)
+			}
+			for _, v := range ev {
+				if v == a.key {
+					t.Fatalf("%s: Add(%s) evicted the key it admitted", c.name, a.key)
+				}
+			}
+		}
+		if got := strings.Join(tr.Keys(), ","); got != c.keys {
+			t.Fatalf("%s: survivors [%s], want [%s]", c.name, got, c.keys)
 		}
 	}
 }

@@ -7,9 +7,11 @@
 # write-through persist), then starts a brand-new process on the same
 # store directory and re-runs the identical campaign. The second run must
 # be served from the store — >= 90% store hits, zero recomputations — and
-# its merged report must be byte-identical to the first. This is the
-# rolling-restart contract of DESIGN.md §16 on real processes, sockets and
-# disks.
+# its merged report must be byte-identical to the first. A recorded trace
+# makes the same round trip: bfs is recorded before the SIGTERM, and the
+# restarted process must replay its ref — read back from disk — under a
+# configuration the campaign never ran. This is the rolling-restart
+# contract of DESIGN.md §16 on real processes, sockets and disks.
 #
 # Usage: scripts/store_restart_smoke.sh [port]
 set -euo pipefail
@@ -52,6 +54,17 @@ start_worker() {
     return 1
 }
 
+# json_field NAME prints the first string value of NAME in the JSON on
+# stdin (the server pretty-prints one field per line).
+json_field() {
+    sed -n "s/.*\"$1\": \"\([^\"]*\)\".*/\1/p" | head -n 1
+}
+
+# wait_job ID blocks on the job's event stream, which ends when it finishes.
+wait_job() {
+    curl -fsSN --max-time 120 "http://127.0.0.1:$PORT/v1/jobs/$1/events" >/dev/null
+}
+
 stop_worker() {
     # SIGTERM drains: in-flight jobs finish and pending store writes are
     # flushed before the process exits.
@@ -65,6 +78,16 @@ start_worker
 "$WORKDIR/warpedctl" sweep -workers "http://127.0.0.1:$PORT" \
     -spec "$SPEC" -o "$WORKDIR/cold.json" -quiet
 
+echo "== recording bfs; its trace is written through to the store"
+REC_ID="$(curl -fsS "http://127.0.0.1:$PORT/v1/jobs" \
+    -d '{"benchmark":"bfs","mode":"record","config":{"NumSMs":2}}' | json_field id)"
+wait_job "$REC_ID"
+TRACE_REF="$(curl -fsS "http://127.0.0.1:$PORT/v1/jobs/$REC_ID" | json_field trace_ref)"
+if [ -z "$TRACE_REF" ]; then
+    echo "FAIL: record job $REC_ID finished without a trace_ref" >&2
+    exit 1
+fi
+
 echo "== draining and restarting the worker on the same store dir"
 stop_worker
 start_worker
@@ -77,6 +100,22 @@ echo "== comparing reports"
 if ! cmp "$WORKDIR/cold.json" "$WORKDIR/warm.json"; then
     echo "FAIL: warm report differs from cold report" >&2
     diff "$WORKDIR/cold.json" "$WORKDIR/warm.json" >&2 || true
+    exit 1
+fi
+
+echo "== replaying $TRACE_REF from disk under a configuration nothing stored"
+CODE="$(curl -sS -o "$WORKDIR/replay.json" -w '%{http_code}' "http://127.0.0.1:$PORT/v1/jobs" \
+    -d "{\"mode\":\"replay\",\"trace_ref\":\"$TRACE_REF\",\"config\":{\"NumSMs\":2,\"CompressLatency\":3}}")"
+if [ "$CODE" != 202 ]; then
+    echo "FAIL: replay submission answered $CODE, want 202 (a fresh simulation, not a cached result)" >&2
+    cat "$WORKDIR/replay.json" >&2
+    exit 1
+fi
+REP_ID="$(json_field id <"$WORKDIR/replay.json")"
+wait_job "$REP_ID"
+STATE="$(curl -fsS "http://127.0.0.1:$PORT/v1/jobs/$REP_ID" | json_field state)"
+if [ "$STATE" != done ]; then
+    echo "FAIL: replay job $REP_ID ended in state '$STATE', want done" >&2
     exit 1
 fi
 
@@ -97,4 +136,4 @@ if [ "${QUARANTINED:-0}" -ne 0 ]; then
     exit 1
 fi
 
-echo "PASS: restart served $HITS/$JOBS jobs from the store, reports byte-identical ($(wc -c <"$WORKDIR/warm.json") bytes)"
+echo "PASS: restart served $HITS/$JOBS jobs from the store, reports byte-identical ($(wc -c <"$WORKDIR/warm.json") bytes), trace $TRACE_REF replayed from disk"
