@@ -6,7 +6,7 @@
 // the versioned experiments.ConfigSignature — so a configuration always
 // lands on the same worker while the fleet is stable. That single
 // decision extends both single-node caching layers cluster-wide: repeat
-// configurations hit their home worker's LRU result cache, and concurrent
+// configurations hit their home worker's result tier, and concurrent
 // duplicates coalesce in its single-flight engine. Health is tracked by a
 // registry (periodic /readyz probes, exponential-backoff quarantine);
 // per-job progress is multiplexed from the workers' SSE feeds, resuming

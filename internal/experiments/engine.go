@@ -115,8 +115,9 @@ type engine struct {
 	// exhibits share configurations heavily and a suite run is bounded).
 	// When false only in-flight calls dedup; completed entries are evicted,
 	// and result retention becomes the caller's policy — the serving layer
-	// (internal/jobs) layers a bounded LRU on top instead, so a long-lived
-	// process does not grow a map per distinct configuration ever seen.
+	// (internal/jobs) puts its bounded result tier on top instead, so a
+	// long-lived process does not grow a map per distinct configuration
+	// ever seen.
 	memoize bool
 
 	// runJob executes one attempt: runSim, or runSimRR with record/replay

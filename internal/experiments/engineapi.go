@@ -41,7 +41,7 @@ type EngineConfig struct {
 	// key simulates at most once per Engine lifetime. Leave it false for
 	// long-lived processes: in-flight calls still coalesce (single-flight),
 	// but completed results are dropped and retention becomes the caller's
-	// policy (internal/jobs layers a bounded LRU on top).
+	// policy (internal/jobs puts its bounded result tier on top).
 	Memoize bool
 	// RecordReplay switches Run to the execute-once / replay-N strategy:
 	// the first job per benchmark records its functional execution and

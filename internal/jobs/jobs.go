@@ -324,7 +324,7 @@ type Config struct {
 	// many goroutines, for submissions that do not pin
 	// sim.Config.SMParallel themselves. <= 0 means auto (GOMAXPROCS
 	// divided by Workers). Results are byte-identical at every shard
-	// count, so this is invisible to the cache and the trace store.
+	// count, so this is invisible to the result and trace tiers.
 	SMParallel int
 	// QueueDepth bounds the FIFO admission queue; submissions beyond it
 	// are rejected with ErrQueueFull. <= 0 means 64.

@@ -14,7 +14,8 @@ const (
 	fromDisk
 )
 
-// blobs is the slice of *store.Store a tier uses: one namespace of it.
+// blobs is the part of *store.Store a tier calls; tests substitute a
+// disk that stalls its reads.
 type blobs interface {
 	Get(ns, key string) ([]byte, bool)
 	Put(ns, key string, payload []byte) error
