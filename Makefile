@@ -34,10 +34,11 @@ verify:
 
 # Benchmark-regression workflow (DESIGN.md §12): `make bench` runs the
 # benchmark filter BENCH with allocation reporting, BENCHCOUNT times, and
-# leaves two timestamped artifacts in the repo root:
+# leaves two timestamped artifacts in the repo root (CI runs it too, with
+# BENCHTIME=1x BENCHCOUNT=1 and the commit as STAMP):
 #   BENCH_<stamp>.txt   benchstat-comparable text (benchstat old.txt new.txt)
 #   BENCH_<stamp>.json  machine-readable warped.bench/v1 trajectory document
-BENCH ?= SimulatorThroughput|BDI|RegfileAccess|GPUCycleSharded|Compressor|GEMM
+BENCH ?= SimulatorThroughput|BDI|RegfileAccess|ConfigSweep|GPUCycleSharded|Compressor|GEMM
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 5
 STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
@@ -47,8 +48,8 @@ bench:
 	@cat BENCH_$(STAMP).txt
 	$(GO) run ./cmd/benchjson -stamp $(STAMP) BENCH_$(STAMP).txt > BENCH_$(STAMP).json
 
-# bench-full runs every benchmark once, including the end-to-end exhibit
-# regenerations (slow).
+# bench-full runs every benchmark once, including BenchmarkExhibit's
+# end-to-end exhibit regenerations (slow), which BENCH leaves out.
 bench-full:
 	$(GO) test -bench=. -benchmem .
 

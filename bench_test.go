@@ -1,17 +1,17 @@
-// Package repro_test is the benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation, plus microbenchmarks of the
-// compression primitives and the simulator core.
+// Package repro_test is the benchmark harness: BenchmarkExhibit regenerates
+// every table and figure of the paper's evaluation, and the other benchmarks
+// measure the compression primitives and the simulator core.
 //
-// Each BenchmarkFigNN/TableN regenerates its exhibit end-to-end (all
-// simulations included) at Small scale on a 4-SM device, and reports the
-// exhibit's headline number as a custom metric. The figure-quality runs use
-// `go run ./cmd/warpedbench -exp all` at medium scale.
+// BenchmarkExhibit/<id> regenerates one exhibit end-to-end (all simulations
+// included) at Small scale on a 4-SM device, and reports the numbers of the
+// exhibit's paper claim (experiments.Claimed) as custom metrics. The
+// figure-quality runs use `go run ./cmd/warpedbench -exp all` at medium
+// scale.
 package repro_test
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -39,156 +39,29 @@ func benchRunner(b *testing.B) *experiments.Runner {
 	return r
 }
 
-// benchExhibit regenerates one exhibit per iteration and reports `metric`
-// extracted from the resulting table.
-func benchExhibit(b *testing.B, id string, metricName string, metric func(*experiments.Table) float64) {
-	b.Helper()
-	b.ReportAllocs()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		tab, err := benchRunner(b).Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if metric != nil {
-			last = metric(tab)
-		}
+// BenchmarkExhibit regenerates every exhibit, one sub-benchmark per
+// experiments.IDs entry, with a fresh runner per iteration so nothing is
+// served from the memo cache. An exhibit that makes a paper claim reports
+// the claim's measured numbers as custom metrics; the others report time
+// only.
+func BenchmarkExhibit(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			var tab *experiments.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tab, err = benchRunner(b).Run(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if c, values, _ := tab.Claim(); c != nil {
+				for i, v := range values {
+					b.ReportMetric(v, c.Units[i])
+				}
+			}
+		})
 	}
-	if metric != nil && metricName != "" && !math.IsNaN(last) {
-		b.ReportMetric(last, metricName)
-	}
-}
-
-// avgCol returns the named column's value in the AVG row.
-func avgCol(tab *experiments.Table, col string) float64 {
-	ci := -1
-	for i, c := range tab.Columns {
-		if c == col {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return math.NaN()
-	}
-	for _, row := range tab.Rows {
-		if row.Label == "AVG" {
-			return row.Values[ci]
-		}
-	}
-	return math.NaN()
-}
-
-func BenchmarkTable1(b *testing.B) {
-	benchExhibit(b, "table1", "", nil)
-}
-
-func BenchmarkTable2(b *testing.B) {
-	benchExhibit(b, "table2", "", nil)
-}
-
-func BenchmarkTable3(b *testing.B) {
-	benchExhibit(b, "table3", "", nil)
-}
-
-func BenchmarkFig2(b *testing.B) {
-	benchExhibit(b, "fig2", "nondiv-random-frac", func(t *experiments.Table) float64 {
-		return avgCol(t, "nd-random")
-	})
-}
-
-func BenchmarkFig3(b *testing.B) {
-	benchExhibit(b, "fig3", "nondiv-ratio", func(t *experiments.Table) float64 {
-		return avgCol(t, "non-divergent")
-	})
-}
-
-func BenchmarkFig5(b *testing.B) {
-	benchExhibit(b, "fig5", "best-is-4-0-frac", func(t *experiments.Table) float64 {
-		return avgCol(t, "<4,0>")
-	})
-}
-
-func BenchmarkFig8(b *testing.B) {
-	benchExhibit(b, "fig8", "comp-ratio-nondiv", func(t *experiments.Table) float64 {
-		return avgCol(t, "non-divergent")
-	})
-}
-
-func BenchmarkFig9(b *testing.B) {
-	benchExhibit(b, "fig9", "wc-energy-norm", func(t *experiments.Table) float64 {
-		return avgCol(t, "wc-total")
-	})
-}
-
-func BenchmarkFig10(b *testing.B) {
-	benchExhibit(b, "fig10", "", nil)
-}
-
-func BenchmarkFig11(b *testing.B) {
-	benchExhibit(b, "fig11", "dummy-mov-frac", func(t *experiments.Table) float64 {
-		return avgCol(t, "mov-fraction")
-	})
-}
-
-func BenchmarkFig12(b *testing.B) {
-	benchExhibit(b, "fig12", "compressed-frac-nondiv", func(t *experiments.Table) float64 {
-		return avgCol(t, "non-divergent")
-	})
-}
-
-func BenchmarkFig13(b *testing.B) {
-	benchExhibit(b, "fig13", "norm-cycles", func(t *experiments.Table) float64 {
-		return avgCol(t, "normalized-cycles")
-	})
-}
-
-func BenchmarkFig14(b *testing.B) {
-	benchExhibit(b, "fig14", "lrr-energy-norm", func(t *experiments.Table) float64 {
-		return avgCol(t, "lrr")
-	})
-}
-
-func BenchmarkFig15(b *testing.B) {
-	benchExhibit(b, "fig15", "only40-ratio", func(t *experiments.Table) float64 {
-		return avgCol(t, "<4,0>")
-	})
-}
-
-func BenchmarkFig16(b *testing.B) {
-	benchExhibit(b, "fig16", "only40-energy-norm", func(t *experiments.Table) float64 {
-		return avgCol(t, "<4,0>")
-	})
-}
-
-func BenchmarkFig17(b *testing.B) {
-	benchExhibit(b, "fig17", "energy-at-2.5x-unit", func(t *experiments.Table) float64 {
-		return avgCol(t, "2.5x")
-	})
-}
-
-func BenchmarkFig18(b *testing.B) {
-	benchExhibit(b, "fig18", "energy-at-2.5x-bank", func(t *experiments.Table) float64 {
-		return avgCol(t, "2.5x")
-	})
-}
-
-func BenchmarkFig19(b *testing.B) {
-	benchExhibit(b, "fig19", "energy-at-100pct-wire", func(t *experiments.Table) float64 {
-		return avgCol(t, "100%")
-	})
-}
-
-func BenchmarkFig20(b *testing.B) {
-	benchExhibit(b, "fig20", "cycles-at-8cy-comp", func(t *experiments.Table) float64 {
-		return avgCol(t, "8cy")
-	})
-}
-
-func BenchmarkFig21(b *testing.B) {
-	benchExhibit(b, "fig21", "cycles-at-8cy-decomp", func(t *experiments.Table) float64 {
-		return avgCol(t, "8cy")
-	})
 }
 
 // --- Parallel engine scaling ---

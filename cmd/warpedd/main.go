@@ -83,7 +83,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8077", "listen address")
 		queue    = flag.Int("queue", 64, "admission queue depth; submissions beyond it get 429")
-		cache    = flag.Int("cache", 1024, "result cache size in entries (0 disables caching)")
+		cache    = flag.Int("cache", 1024, "result cache size in entries (0 disables the memory cache; a -store-dir is still read)")
 		retain   = flag.Int("retain", 1024, "finished jobs kept queryable before the oldest are forgotten")
 		drainFor = flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown signal waits for in-flight jobs")
 		sseKA    = flag.Duration("sse-keepalive", 15*time.Second, "interval between keep-alive comments on idle event streams")

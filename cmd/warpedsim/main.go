@@ -40,7 +40,7 @@ import (
 func main() {
 	f := cli.New("warpedsim", "medium", cli.Timeout|cli.Profile)
 	var (
-		bench    = flag.String("bench", "", "benchmark name (one of the 20-workload suite)")
+		bench    = flag.String("bench", "", "benchmark name (see -list)")
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 		asmFile  = flag.String("asm", "", "run a kernel from an assembly file instead of a benchmark")
 		grid     = flag.Int("grid", 30, "grid size in CTAs (with -asm)")

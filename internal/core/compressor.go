@@ -70,11 +70,11 @@ type KernelTableBinder interface {
 // schemes maps each registered backend name to its factory.
 var schemes = map[string]func() Compressor{}
 
-// RegisterScheme adds a compression backend under name. Registering a
+// registerScheme adds a compression backend under name. Registering a
 // duplicate name panics: scheme names are part of the schemes/v1 contract.
-func RegisterScheme(name string, factory func() Compressor) {
+func registerScheme(name string, factory func() Compressor) {
 	if name == "" {
-		panic("core: RegisterScheme with empty name")
+		panic("core: registerScheme with empty name")
 	}
 	if _, dup := schemes[name]; dup {
 		panic(fmt.Sprintf("core: compression scheme %q registered twice", name))
@@ -165,7 +165,7 @@ func BankTable(c Compressor) [NumEncodings]int {
 }
 
 func init() {
-	RegisterScheme("bdi", func() Compressor { return bdiScheme{} })
-	RegisterScheme("static", func() Compressor { return &staticScheme{} })
-	RegisterScheme("fpc", func() Compressor { return fpcScheme{} })
+	registerScheme("bdi", func() Compressor { return bdiScheme{} })
+	registerScheme("static", func() Compressor { return &staticScheme{} })
+	registerScheme("fpc", func() Compressor { return fpcScheme{} })
 }

@@ -27,7 +27,8 @@ type entry struct {
 	cols   []column
 	// run assembles an exhibit build cannot express. It receives the table
 	// with ID, Title and Notes set.
-	run func(*Runner, *Table) error
+	run   func(*Runner, *Table) error
+	claim *Claim // the paper's quantitative headline, if the exhibit makes one
 }
 
 // column is one value column of a built exhibit: the configuration it
@@ -113,7 +114,7 @@ func (r *Runner) build(e *entry, t *Table) error {
 			return -1
 		}
 		c := r.config(s)
-		k := sig(&c)
+		k := ConfigSignature(&c)
 		i, ok := index[k]
 		if !ok {
 			i = len(cfgs)

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
@@ -77,7 +80,13 @@ func TestConfigSignatureCoversConfig(t *testing.T) {
 			continue
 		}
 		mod := base
-		perturb(reflect.ValueOf(&mod).Elem().Field(i))
+		field := reflect.ValueOf(&mod).Elem().Field(i)
+		perturb(field)
+		if f.Name == "SMEpoch" {
+			// Epochs 0 and 1 both commit every cycle and share a
+			// signature; 2 is the first epoch that changes timing.
+			field.SetInt(2)
+		}
 		if got := ConfigSignature(&mod); got == want {
 			t.Errorf("changing Config.%s did not change the signature (%q)", f.Name, got)
 		}
@@ -121,6 +130,54 @@ func TestConfigSignatureCompressionScheme(t *testing.T) {
 		}
 		if got := ConfigSignature(&c); got != p.sig {
 			t.Errorf("%s:\n got: %s\nwant: %s", p.name, got, p.sig)
+		}
+	}
+}
+
+// TestConfigSignatureDefaultSpellings: a config that spells out a default
+// the simulator treats like its zero value (SMEpoch 1 for 0,
+// DivergencePolicy "" for "uncompressed") signs as the default does, so an
+// override that names the default reuses its cache entry instead of
+// simulating again. Each pair really does simulate byte-identically.
+func TestConfigSignatureDefaultSpellings(t *testing.T) {
+	def := sim.DefaultConfig()
+	def.NumSMs = 4
+	run := func(c sim.Config) []byte {
+		t.Helper()
+		gpu, err := sim.New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfs, _ := kernels.ByName("bfs")
+		inst, err := bfs.Build(gpu.Mem(), kernels.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := gpu.Run(inst.Launch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(def)
+	for _, alias := range []struct {
+		name string
+		set  func(*sim.Config)
+	}{
+		{"SMEpoch 1", func(c *sim.Config) { c.SMEpoch = 1 }},
+		{`DivergencePolicy ""`, func(c *sim.Config) { c.DivergencePolicy = "" }},
+	} {
+		c := def
+		alias.set(&c)
+		if got, want := ConfigSignature(&c), ConfigSignature(&def); got != want {
+			t.Errorf("%s signs apart from the default:\n got: %s\nwant: %s", alias.name, got, want)
+		}
+		if !bytes.Equal(run(c), want) {
+			t.Errorf("%s simulates differently from the default; it must not share its signature", alias.name)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func (e *engine) emit(ev Event) {
 // alongside the error. The output check always runs inside the job: an
 // experiment on a miscomputing simulator would be meaningless.
 func (e *engine) run(b *kernels.Benchmark, c sim.Config) (*sim.Result, error) {
-	cfgSig := sig(&c)
+	cfgSig := ConfigSignature(&c)
 	key := b.Name + "|" + cfgSig
 
 	e.mu.Lock()

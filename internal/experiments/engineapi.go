@@ -118,7 +118,7 @@ func (e *Engine) Run(b *kernels.Benchmark, c sim.Config) (*sim.Result, error) {
 // value stream is schedule-dependent fails with sim.ErrUntraceable.
 func (e *Engine) Record(b *kernels.Benchmark, c sim.Config) (*sim.Result, *exectrace.Launch, error) {
 	var lt *exectrace.Launch
-	res, err := e.eng.simulate(b.Name, sig(&c), func(ctx context.Context, beat *atomic.Uint64) (*sim.Result, error) {
+	res, err := e.eng.simulate(b.Name, ConfigSignature(&c), func(ctx context.Context, beat *atomic.Uint64) (*sim.Result, error) {
 		r, l, err := e.eng.recordSim(ctx, b, c, beat)
 		lt = l
 		return r, err
@@ -132,7 +132,7 @@ func (e *Engine) Record(b *kernels.Benchmark, c sim.Config) (*sim.Result, *exect
 // self-contained, so no benchmark build (and no output check) happens. The
 // Result is byte-identical to executing the same benchmark under c.
 func (e *Engine) Replay(benchmark string, lt *exectrace.Launch, c sim.Config) (*sim.Result, error) {
-	return e.eng.simulate(benchmark, sig(&c), func(ctx context.Context, beat *atomic.Uint64) (*sim.Result, error) {
+	return e.eng.simulate(benchmark, ConfigSignature(&c), func(ctx context.Context, beat *atomic.Uint64) (*sim.Result, error) {
 		return e.eng.replaySim(ctx, benchmark, c, lt, beat)
 	})
 }

@@ -26,15 +26,23 @@ var exhibits = []entry{
 	// writes on the uncompressed register file.
 	{id: "fig2", title: "Characterization of register values",
 		notes: "fraction of register writes per bin; paper: ~79% of non-divergent writes are not random",
-		cols:  append(writeBins("nd", stats.NonDivergent), writeBins("dv", stats.Divergent)...)},
+		cols:  append(writeBins("nd", stats.NonDivergent), writeBins("dv", stats.Divergent)...),
+		claim: &Claim{"non-divergent writes that are not random", "~79%", []string{"nd-not-random-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("nd-random"))} }}},
 	{id: "fig3", title: "Ratio of non-diverged warp instructions",
 		notes: "paper average: 0.79",
 		cols: []column{col("non-divergent", characterize, func(res *sim.Result) float64 {
 			return res.Stats.NonDivergentRatio()
-		})}},
+		})},
+		claim: &Claim{"non-divergent warp instructions", "79%", []string{"non-divergent-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * avg("non-divergent")} }}},
 	{id: "fig5", title: "Breakdown of <base,delta> values to achieve best compression ratio",
 		notes: "fraction of register writes; paper: 8-byte bases are rarely selected, motivating the <4,*> fixed choices",
-		cols:  bdiChoices()},
+		cols:  bdiChoices(),
+		claim: &Claim{"writes where the explorer picks an 8-byte base", "rarely (~0%)", []string{"8-byte-base-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 {
+				return []float64{100 * (avg("<8,0>") + avg("<8,1>") + avg("<8,2>") + avg("<8,4>"))}
+			}}},
 
 	// Evaluation (§6): warped-compression against the baseline.
 	{id: "fig8", title: "Compression ratio",
@@ -49,7 +57,9 @@ var exhibits = []entry{
 				}
 				return res.Stats.CompressionRatio(stats.Divergent)
 			}),
-		}},
+		},
+		claim: &Claim{"compression ratio, non-divergent / divergent", "2.5 / 1.3", []string{"non-divergent-ratio", "divergent-ratio"}, "%.2f / %.2f",
+			func(avg func(string) float64) []float64 { return []float64{avg("non-divergent"), avg("divergent")} }}},
 	// Fig 9 is the headline result, stacked the way the paper stacks it.
 	{id: "fig9", title: "Register file energy consumption",
 		notes: "normalized to baseline total; paper: 25% average total reduction (35% dynamic, 10% leakage)",
@@ -61,13 +71,17 @@ var exhibits = []entry{
 			energyShare("wc-comp", func(_, wc energy.Breakdown) float64 { return wc.CompressPJ }),
 			energyShare("wc-decomp", func(_, wc energy.Breakdown) float64 { return wc.DecompressPJ }),
 			energyShare("wc-total", func(_, wc energy.Breakdown) float64 { return wc.TotalPJ() }),
-		}},
+		},
+		claim: &Claim{"total register file energy saved", "25%", []string{"energy-saved-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("wc-total"))} }}},
 	{id: "fig10", title: "Portion of power-gated cycles for each bank",
 		notes: "suite average per bank; banks are 4 clusters of 8 — gating grows toward higher banks within a cluster (compressed data packs into the lowest banks)",
 		run:   fig10},
 	{id: "fig11", title: "Portion of dummy MOV instructions",
 		notes: "injected decompress-MOVs / all instructions; paper: below 2% everywhere",
-		cols:  []column{col("mov-fraction", warped, dummyMovRatio)}},
+		cols:  []column{col("mov-fraction", warped, dummyMovRatio)},
+		claim: &Claim{"dummy MOV share of instructions", "< 2% everywhere", []string{"dummy-mov-%"}, "%.1f%% average",
+			func(avg func(string) float64) []float64 { return []float64{100 * avg("mov-fraction")} }}},
 	{id: "fig12", title: "Portion of compressed registers",
 		notes: "average fraction of written registers held compressed, sampled at writes; divergent column is n/a for never-diverging benchmarks (paper marks them N/A)",
 		cols: []column{
@@ -76,10 +90,16 @@ var exhibits = []entry{
 		}},
 	{id: "fig13", title: "Impact on execution time",
 		notes: "warped-compression cycles / baseline cycles; paper average: 1.001",
-		cols:  []column{vs("normalized-cycles", warped, baseline, cycleRatio)}},
+		cols:  []column{vs("normalized-cycles", warped, baseline, cycleRatio)},
+		claim: &Claim{"execution time increase", "0.1%", []string{"slowdown-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (avg("normalized-cycles") - 1)} }}},
 	{id: "fig14", title: "Energy reduction: GTO and LRR warp schedulers",
 		notes: "warped-compression energy / same-scheduler baseline energy; paper: 25% (GTO) vs 26% (LRR) savings",
-		cols:  []column{schedulerEnergy("gto"), schedulerEnergy("lrr")}},
+		cols:  []column{schedulerEnergy("gto"), schedulerEnergy("lrr")},
+		claim: &Claim{"energy saved, GTO / LRR", "25% / 26%", []string{"gto-saved-%", "lrr-saved-%"}, "%.1f%% / %.1f%%",
+			func(avg func(string) float64) []float64 {
+				return []float64{100 * (1 - avg("gto")), 100 * (1 - avg("lrr"))}
+			}}},
 
 	// Design space (§6.4): restricted compressor choices, pessimistic and
 	// optimistic energy constants, and codec latency.
@@ -87,7 +107,9 @@ var exhibits = []entry{
 		notes: "overall (both phases); paper: <4,0>-only (scalarization) is ~30% below warped-compression",
 		cols: designPoints(func(name string, cfg setup) column {
 			return col(name, cfg, writeRatio)
-		})},
+		}),
+		claim: &Claim{"<4,0>-only compression ratio vs warped", "~30% lower", []string{"only-4-0-lower-%"}, "%.1f%% lower",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("<4,0>")/avg("warped"))} }}},
 	{id: "fig16", title: "Energy consumption for various compression parameters",
 		notes: "normalized to no-compression baseline",
 		cols: designPoints(func(name string, cfg setup) column {
@@ -96,21 +118,31 @@ var exhibits = []entry{
 	{id: "fig17", title: "Energy consumption for various compression/decompression unit activation energy",
 		notes: "normalized to baseline; paper: still 14% savings at 2.5x",
 		cols: energyColumns([]string{"1.0x", "1.5x", "2.0x", "2.5x"}, []float64{1, 1.5, 2, 2.5},
-			func(p *energy.Params, k float64) { p.UnitEnergyScale = k })},
+			func(p *energy.Params, k float64) { p.UnitEnergyScale = k }),
+		claim: &Claim{"energy saved at 2.5x unit activation energy", "14%", []string{"energy-saved-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("2.5x"))} }}},
 	{id: "fig18", title: "Energy consumption for various per-bank access energy",
 		notes: "normalized to baseline; paper: 35% savings at 2.5x",
 		cols: energyColumns([]string{"1.0x", "1.5x", "2.0x", "2.5x"}, []float64{1, 1.5, 2, 2.5},
-			func(p *energy.Params, k float64) { p.BankAccessScale = k })},
+			func(p *energy.Params, k float64) { p.BankAccessScale = k }),
+		claim: &Claim{"energy saved at 2.5x bank access energy", "35%", []string{"energy-saved-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("2.5x"))} }}},
 	{id: "fig19", title: "Impact of wire activity",
 		notes: "normalized to baseline at the same activity; paper: 31% savings at 100% activity",
 		cols: energyColumns([]string{"0%", "25%", "50%", "75%", "100%"}, []float64{0, 0.25, 0.5, 0.75, 1},
-			func(p *energy.Params, k float64) { p.WireActivity = k })},
+			func(p *energy.Params, k float64) { p.WireActivity = k }),
+		claim: &Claim{"energy saved at 100% wire activity", "31%", []string{"energy-saved-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (1 - avg("100%"))} }}},
 	{id: "fig20", title: "Execution time variation with increased compression latency",
 		notes: latencyNotes,
-		cols:  latencyColumns(func(c *sim.Config, lat int) { c.CompressLatency = lat })},
+		cols:  latencyColumns(func(c *sim.Config, lat int) { c.CompressLatency = lat }),
+		claim: &Claim{"slowdown at 8-cycle compression latency", "part of the +14% worst case", []string{"slowdown-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (avg("8cy") - 1)} }}},
 	{id: "fig21", title: "Execution time variation with increased decompression latency",
 		notes: latencyNotes,
-		cols:  latencyColumns(func(c *sim.Config, lat int) { c.DecompressLatency = lat })},
+		cols:  latencyColumns(func(c *sim.Config, lat int) { c.DecompressLatency = lat }),
+		claim: &Claim{"slowdown at 8-cycle decompression latency", "part of the +14% worst case", []string{"slowdown-%"}, "%.1f%%",
+			func(avg func(string) float64) []float64 { return []float64{100 * (avg("8cy") - 1)} }}},
 
 	// Ablations beyond the paper's figures: they isolate the design choices
 	// the paper makes (its §5.2 divergence policy, §5.3 gating, §5.1 unit

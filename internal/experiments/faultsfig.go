@@ -59,12 +59,12 @@ func faultInjection(r *Runner, t *Table) error {
 	r.prefetch(cfgBase, cfgWC, cfgRRCD)
 
 	for _, b := range benches {
-		cleanRes, err := r.run(b, clean)
+		cleanRes, err := r.eng.run(b, clean)
 		if err != nil {
 			// The clean baseline failing is a simulator bug, not a fault
 			// outcome — in strict mode that aborts the exhibit.
 			if r.failures != nil {
-				r.failures.record(b.Name, sig(&clean), err)
+				r.failures.record(b.Name, ConfigSignature(&clean), err)
 				continue
 			}
 			return err
@@ -86,7 +86,7 @@ func faultInjection(r *Runner, t *Table) error {
 // run died without counters (or cleanPJ is NaN). redirected is the RRCD
 // redirected-write count (0 when redirection is off or the run crashed).
 func (r *Runner) faultOutcome(b *kernels.Benchmark, c sim.Config, params energy.Params, cleanPJ float64) (ok, energyRatio, redirected float64) {
-	res, err := r.run(b, c)
+	res, err := r.eng.run(b, c)
 	ok = 1
 	if err != nil {
 		ok = 0

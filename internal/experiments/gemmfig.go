@@ -52,7 +52,9 @@ func gemmShared(r *Runner, t *Table) error {
 	}
 	rows := map[string][]float64{}
 	if err := r.forEach(benches, r.config(baseline), func(b *kernels.Benchmark, res *sim.Result) error {
-		inst, err := b.Build(memForKernelInspect(r), kernels.Small)
+		// Rebuild the instance on scratch memory just to read its kernel's
+		// register count.
+		inst, err := b.Build(mem.NewGlobal(r.baseConfig().GlobalMemBytes), kernels.Small)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -76,10 +78,4 @@ func gemmShared(r *Runner, t *Table) error {
 		}
 	}
 	return nil
-}
-
-// memForKernelInspect returns a scratch device memory for rebuilding a
-// benchmark instance just to read its kernel metadata (register count).
-func memForKernelInspect(r *Runner) *mem.Global {
-	return mem.NewGlobal(r.baseConfig().GlobalMemBytes)
 }

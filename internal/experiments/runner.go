@@ -64,12 +64,6 @@ func (r *Runner) baseConfig() sim.Config {
 	return sim.DefaultConfig()
 }
 
-// run simulates one benchmark under one configuration through the engine's
-// single-flight memo cache.
-func (r *Runner) run(b *kernels.Benchmark, c sim.Config) (*sim.Result, error) {
-	return r.eng.run(b, c)
-}
-
 // forEach runs benches under config c in parallel across the engine's
 // worker pool, then calls fn once per benchmark in list order. The
 // sequential fn pass is the determinism contract: exhibit tables are
@@ -88,7 +82,7 @@ func (r *Runner) forEach(benches []*kernels.Benchmark, c sim.Config, fn func(b *
 	}
 	for i, b := range benches {
 		if errs[i] != nil {
-			r.failures.record(b.Name, sig(&c), errs[i])
+			r.failures.record(b.Name, ConfigSignature(&c), errs[i])
 			continue
 		}
 		if err := fn(b, results[i]); err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -58,6 +59,18 @@ func (t *Table) AddAverage() {
 		}
 	}
 	t.Rows = append(t.Rows, Row{Label: "AVG", Values: avg})
+}
+
+// Average returns the named column's value in the AVG row; NaN when the
+// table has no such column or no AVG row.
+func (t *Table) Average(col string) float64 {
+	c := slices.Index(t.Columns, col)
+	for _, r := range t.Rows {
+		if r.Label == "AVG" && c >= 0 && c < len(r.Values) {
+			return r.Values[c]
+		}
+	}
+	return math.NaN()
 }
 
 // Render writes the table as aligned text.

@@ -29,32 +29,6 @@ type Instr struct {
 // HasDst reports whether the instruction writes a general purpose register.
 func (in *Instr) HasDst() bool { return in.Dst != RegNone }
 
-// SrcRegs appends the general purpose registers read by the instruction to
-// buf and returns the extended slice. Memory stores read both the address
-// register (Srcs[0]) and the data register (Srcs[1]).
-func (in *Instr) SrcRegs(buf []Reg) []Reg {
-	for _, s := range in.Srcs {
-		if s.Kind == OperandReg {
-			buf = append(buf, s.Reg)
-		}
-	}
-	return buf
-}
-
-// NumSrcRegs counts distinct general purpose register source operands; this
-// is the number of warp-register reads the operand collector must perform.
-func (in *Instr) NumSrcRegs() int {
-	var seen [MaxRegs]bool
-	n := 0
-	for _, s := range in.Srcs {
-		if s.Kind == OperandReg && !seen[s.Reg] {
-			seen[s.Reg] = true
-			n++
-		}
-	}
-	return n
-}
-
 func (in *Instr) String() string {
 	var b strings.Builder
 	if in.Pred != PredNone {

@@ -173,6 +173,3 @@ func (o Operand) String() string {
 	}
 	return "?"
 }
-
-// IsReg reports whether the operand reads a general purpose register.
-func (o Operand) IsReg() bool { return o.Kind == OperandReg }

@@ -211,10 +211,3 @@ func TestLaunchGeometry(t *testing.T) {
 		t.Error("empty grid accepted")
 	}
 }
-
-func TestNumSrcRegs(t *testing.T) {
-	in := Instr{Op: OpMad, Dst: 4, Srcs: [3]Operand{R(1), R(1), R(2)}, Pred: PredNone, PDst: PredNone, PSrc: PredNone}
-	if got := in.NumSrcRegs(); got != 2 {
-		t.Fatalf("NumSrcRegs = %d, want 2 (r1 deduplicated)", got)
-	}
-}

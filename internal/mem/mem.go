@@ -8,8 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/isa"
 )
 
 // SegmentBytes is the memory transaction granularity; a warp access is
@@ -182,31 +180,6 @@ func (g *Global) ReadFloat32(addr uint32, n int) ([]float32, error) {
 		out[i] = math.Float32frombits(v)
 	}
 	return out, nil
-}
-
-// CoalesceSegments counts the distinct 128-byte segments the active lanes of
-// a warp touch — the number of memory transactions the access generates.
-func CoalesceSegments(addrs *[isa.WarpSize]uint32, mask uint32) int {
-	var segs [isa.WarpSize]uint32
-	n := 0
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if mask&(1<<lane) == 0 {
-			continue
-		}
-		seg := addrs[lane] / SegmentBytes
-		dup := false
-		for _, s := range segs[:n] {
-			if s == seg {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			segs[n] = seg
-			n++
-		}
-	}
-	return n
 }
 
 // Pipe is the global-memory timing model: transactions issue at one per

@@ -3,6 +3,7 @@ package mem
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -128,44 +129,55 @@ func TestHostTransfers(t *testing.T) {
 
 func TestCoalescing(t *testing.T) {
 	var addrs [isa.WarpSize]uint32
+	segments := func(mask uint32) int { return len(CoalesceSegmentList(&addrs, mask, nil)) }
 	// Perfectly coalesced: 32 consecutive words = one 128B segment.
 	for i := range addrs {
 		addrs[i] = uint32(4 * i)
 	}
-	if n := CoalesceSegments(&addrs, 0xFFFFFFFF); n != 1 {
+	if n := segments(0xFFFFFFFF); n != 1 {
 		t.Fatalf("consecutive: %d segments, want 1", n)
 	}
 	// Stride-128: every lane its own segment.
 	for i := range addrs {
 		addrs[i] = uint32(128 * i)
 	}
-	if n := CoalesceSegments(&addrs, 0xFFFFFFFF); n != 32 {
+	if n := segments(0xFFFFFFFF); n != 32 {
 		t.Fatalf("stride-128: %d segments, want 32", n)
 	}
 	// Mask limits the count.
-	if n := CoalesceSegments(&addrs, 0x3); n != 2 {
+	if n := segments(0x3); n != 2 {
 		t.Fatalf("masked: %d segments, want 2", n)
 	}
 	// Broadcast: one segment.
 	for i := range addrs {
 		addrs[i] = 512
 	}
-	if n := CoalesceSegments(&addrs, 0xFFFFFFFF); n != 1 {
+	if n := segments(0xFFFFFFFF); n != 1 {
 		t.Fatalf("broadcast: %d segments, want 1", n)
 	}
 	// Inactive warp: zero transactions.
-	if n := CoalesceSegments(&addrs, 0); n != 0 {
+	if n := segments(0); n != 0 {
 		t.Fatalf("empty mask: %d segments, want 0", n)
 	}
 }
 
-// TestCoalesceListAgreesWithCount: the segment list and the counter must
-// agree for random address patterns.
+// TestCoalesceListAgreesWithCount: for random address patterns the segment
+// list holds each segment an active lane touches exactly once, so its
+// length is the distinct-segment count.
 func TestCoalesceListAgreesWithCount(t *testing.T) {
 	f := func(addrs [isa.WarpSize]uint32, mask uint32) bool {
-		n := CoalesceSegments(&addrs, mask)
+		want := map[uint32]bool{}
+		for lane, a := range addrs {
+			if mask&(1<<lane) != 0 {
+				want[a/SegmentBytes] = true
+			}
+		}
 		list := CoalesceSegmentList(&addrs, mask, nil)
-		return n == len(list)
+		got := map[uint32]bool{}
+		for _, seg := range list {
+			got[seg] = true
+		}
+		return len(list) == len(want) && reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -174,28 +186,29 @@ func TestCoalesceListAgreesWithCount(t *testing.T) {
 
 func TestSharedConflicts(t *testing.T) {
 	var addrs [isa.WarpSize]uint32
+	phases := func(mask uint32) int { return AnalyzeShared(&addrs, mask, SharedWordBytes).Phases }
 	// Consecutive words: conflict-free (degree 1).
 	for i := range addrs {
 		addrs[i] = uint32(4 * i)
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 1 {
+	if d := phases(0xFFFFFFFF); d != 1 {
 		t.Fatalf("consecutive: degree %d, want 1", d)
 	}
 	// Stride-32 words: all lanes hit bank 0 -> 32-way conflict.
 	for i := range addrs {
 		addrs[i] = uint32(4 * 32 * i)
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 32 {
+	if d := phases(0xFFFFFFFF); d != 32 {
 		t.Fatalf("stride-32: degree %d, want 32", d)
 	}
 	// Broadcast of one word: degree 1.
 	for i := range addrs {
 		addrs[i] = 64
 	}
-	if d := SharedConflictDegree(&addrs, 0xFFFFFFFF); d != 1 {
+	if d := phases(0xFFFFFFFF); d != 1 {
 		t.Fatalf("broadcast: degree %d, want 1", d)
 	}
-	if d := SharedConflictDegree(&addrs, 0); d != 1 {
+	if d := phases(0); d != 1 {
 		t.Fatalf("empty mask: degree %d, want 1", d)
 	}
 }

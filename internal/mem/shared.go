@@ -93,12 +93,3 @@ func AnalyzeShared(addrs *[isa.WarpSize]uint32, mask uint32, accessBytes int) Sh
 	}
 	return a
 }
-
-// SharedConflictDegree returns the number of serialized access phases of a
-// 32-bit warp shared-memory access — AnalyzeShared's Phases for the ISA's
-// native 4-byte width. Kept as the timing model's historical entry point;
-// new callers that also need bank activations or broadcast counts should
-// use AnalyzeShared directly.
-func SharedConflictDegree(addrs *[isa.WarpSize]uint32, mask uint32) int {
-	return AnalyzeShared(addrs, mask, SharedWordBytes).Phases
-}

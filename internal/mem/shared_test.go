@@ -100,24 +100,6 @@ func TestSharedWidthGuard(t *testing.T) {
 	AnalyzeShared(&addrs, fullMask(), 16)
 }
 
-// TestSharedConflictDegreeAgrees pins the historical entry point to the new
-// model: for any address vector and mask, SharedConflictDegree is exactly
-// AnalyzeShared's phase count at the native 4-byte width.
-func TestSharedConflictDegreeAgrees(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		var addrs [isa.WarpSize]uint32
-		for i := range addrs {
-			addrs[i] = uint32(r.Intn(256)) * 4
-		}
-		mask := r.Uint32()
-		want := AnalyzeShared(&addrs, mask, 4).Phases
-		if got := SharedConflictDegree(&addrs, mask); got != want {
-			t.Fatalf("trial %d: SharedConflictDegree = %d, AnalyzeShared.Phases = %d", trial, got, want)
-		}
-	}
-}
-
 // TestSharedPhasesBoundWords: phases can never exceed distinct words, and
 // bank accesses plus broadcasts always account for every active lane request.
 func TestSharedPhasesBoundWords(t *testing.T) {

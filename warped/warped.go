@@ -10,7 +10,7 @@
 //     warped-compression register file path, a SASS-like ISA and a text
 //     assembler for writing kernels;
 //   - the Table 3 energy model;
-//   - the 22-benchmark suite and the experiment runners that regenerate
+//   - the benchmark suite and the experiment runners that regenerate
 //     every table and figure of the paper's evaluation.
 //
 // Quick start:
@@ -239,7 +239,7 @@ const (
 	Large  = kernels.Large
 )
 
-// Benchmarks lists the 22-workload evaluation suite.
+// Benchmarks lists every workload of the evaluation suite.
 func Benchmarks() []*Benchmark { return kernels.All() }
 
 // BenchmarkByName finds one benchmark.
@@ -346,7 +346,8 @@ func WithProgress(fn func(ExperimentEvent)) ExperimentOption {
 // cache both key on (see experiments.ConfigSignatureVersion).
 func ConfigSignature(c *Config) string { return experiments.ConfigSignature(c) }
 
-// ExperimentIDs lists every regenerable exhibit (table1..3, fig2..fig21).
+// ExperimentIDs lists every regenerable exhibit in paper order: table1..3
+// and fig2..fig21, then the abl, flt, cmp and gemm families.
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // ExperimentTitle returns an exhibit's caption.
