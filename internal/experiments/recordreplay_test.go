@@ -51,18 +51,18 @@ func TestTraceCacheKeepsNewestOverBudget(t *testing.T) {
 		}
 	}
 
-	run("bfs", 1)
-	bfs := cached("bfs")
-	if bfs == nil || bfs.lt == nil {
-		t.Fatal("bfs trace dropped as soon as it was recorded")
+	run("mum", 1)
+	mum := cached("mum")
+	if mum == nil || mum.lt == nil {
+		t.Fatal("mum trace dropped as soon as it was recorded")
 	}
-	run("bfs", 2)
-	if cached("bfs") != bfs {
-		t.Fatal("bfs recorded again instead of replaying its cached trace")
+	run("mum", 2)
+	if cached("mum") != mum {
+		t.Fatal("mum recorded again instead of replaying its cached trace")
 	}
 	run("lib", 1)
-	if cached("bfs") != nil {
-		t.Fatal("bfs trace survived the next benchmark's recording over budget")
+	if cached("mum") != nil {
+		t.Fatal("mum trace survived the next benchmark's recording over budget")
 	}
 	if lib := cached("lib"); lib == nil || lib.lt == nil {
 		t.Fatal("lib trace not cached")

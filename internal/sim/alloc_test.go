@@ -26,6 +26,24 @@ Lloop:
 	exit
 `
 
+// steadyBoundedSrc is steadySrc with a bounded loop over one cell per
+// grid thread, so it can be recorded: no warp loads a cell another warp
+// stores.
+const steadyBoundedSrc = `
+	mov  r0, %tid.x
+	mad  r1, %ctaid.x, %ntid.x, r0
+	shl  r1, r1, 2
+	mov  r2, 0
+Lloop:
+	ld.global r3, [r1]
+	add  r3, r3, 1
+	st.global [r1], r3
+	add  r2, r2, 1
+	setp.lt p0, r2, 1000
+@p0	bra Lloop
+	exit
+`
+
 // saturatingSrc keeps the memory pipe full: every load is uncoalesced (one
 // 128-byte segment per lane, 32 transactions) and walks a 1 MB window the
 // L1 cannot hold, so eight warps demand four times the pipe's 64 slots.
@@ -50,17 +68,20 @@ Lloop:
 // TestSteadyStateStepAllocFree pins down the tentpole property of the
 // scratch-arena work: once the pools are warm, an SM cycle (pipeline
 // advance + issue + register-file tick, or a skipped cycle of a sleeping
-// SM) performs zero heap allocations. The pipe-saturating case must also
-// show full-pipe retries, sleep entries and settles inside the measured
-// window, so the event-driven stall path is what gets measured.
+// SM) performs zero heap allocations, in execute mode and in replay mode.
+// The pipe-saturating case must also show full-pipe retries, sleep entries
+// and settles inside the measured window, so the event-driven stall path
+// is what gets measured.
 func TestSteadyStateStepAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		src       string
 		saturated bool
+		replay    bool
 	}{
-		{"mixed", steadySrc, false},
-		{"pipe-saturating", saturatingSrc, true},
+		{"mixed", steadySrc, false, false},
+		{"pipe-saturating", saturatingSrc, true, false},
+		{"replay", steadyBoundedSrc, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testConfig()
@@ -79,6 +100,17 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 			l := isa.Launch{Kernel: k, Grid: isa.Dim3{X: 4}, Block: isa.Dim3{X: 64}}
 			if err := l.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
+			}
+			if tc.replay {
+				gRec, err := New(c)
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				_, lt, err := gRec.Record(l)
+				if err != nil {
+					t.Fatalf("Record: %v", err)
+				}
+				g.rp, l = newReplayRun(lt)
 			}
 
 			sm := g.sms[0]

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -95,6 +96,33 @@ func digestEntry(b *kernels.Benchmark, cname string, mut func(c *Config)) (strin
 	return fmt.Sprintf("%s %s %s %s", b.Name, cname, hex.EncodeToString(sum[:]), check), nil
 }
 
+// digestPath is the pinned result-digest table, one line per
+// (benchmark, configuration) cell.
+var digestPath = filepath.Join("testdata", "result_digests.txt")
+
+// pinnedDigests reads the pinned table, keyed by "benchmark config".
+func pinnedDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(digestPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 4 {
+			t.Fatalf("malformed digest line %q", sc.Text())
+		}
+		want[fields[0]+" "+fields[1]] = sc.Text()
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestResultDigestTable is the byte-identity oracle over the whole
 // workload suite: every benchmark at Small scale under every digestConfigs
 // entry must reproduce the result-document digest and Check outcome pinned
@@ -132,29 +160,12 @@ func TestResultDigestTable(t *testing.T) {
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
-	path := filepath.Join("testdata", "result_digests.txt")
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(digestPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 4 {
-			t.Fatalf("malformed digest line %q", sc.Text())
-		}
-		want[fields[0]+" "+fields[1]] = sc.Text()
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedDigests(t)
 	if len(want) != len(lines) {
 		t.Errorf("digest table has %d entries, the suite produces %d (run with -update if the suite changed)", len(want), len(lines))
 	}
@@ -167,4 +178,92 @@ func TestResultDigestTable(t *testing.T) {
 			t.Errorf("%s drifted:\n got: %s\nwant: %s", key, line, w)
 		}
 	}
+}
+
+// untraceable names the benchmarks whose value stream depends on the
+// schedule, so recording them fails with ErrUntraceable: bfs loads a
+// neighbour's level and stores it when it reads -1, racing the other warps
+// that claim the same neighbour.
+var untraceable = map[string]bool{"bfs": true}
+
+// TestReplayDigestTable is the replay oracle over the whole workload
+// suite: every benchmark is recorded once at Small scale under the default
+// configuration, and the trace, replayed under every fault-free
+// digestConfigs entry, must reproduce the result-document digest pinned
+// for execute mode. The Check column does not apply: replay writes no
+// device memory. Benchmarks in untraceable must refuse to record, and
+// every other benchmark must record.
+func TestReplayDigestTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite x configuration table; skipped in -short")
+	}
+	want := pinnedDigests(t)
+	benches := kernels.All()
+	failures := make([][]string, len(benches))
+	sem := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	for bi, b := range benches {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			failures[bi] = replayDigests(b, want)
+		}()
+	}
+	wg.Wait()
+	for _, fs := range failures {
+		for _, f := range fs {
+			t.Error(f)
+		}
+	}
+}
+
+// replayDigests records one benchmark and replays it under every
+// fault-free configuration, returning one message per mismatch.
+func replayDigests(b *kernels.Benchmark, want map[string]string) []string {
+	c := DefaultConfig()
+	c.MaxCycles = digestMaxCycles
+	g, err := New(c)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	inst, err := b.Build(g.Mem(), kernels.Small)
+	if err != nil {
+		return []string{fmt.Sprintf("%s: build: %v", b.Name, err)}
+	}
+	_, lt, err := g.Record(inst.Launch)
+	switch {
+	case untraceable[b.Name] && errors.Is(err, ErrUntraceable):
+		return nil
+	case untraceable[b.Name]:
+		return []string{fmt.Sprintf("%s: record returned %v, want ErrUntraceable", b.Name, err)}
+	case err != nil:
+		return []string{fmt.Sprintf("%s: record: %v", b.Name, err)}
+	}
+	var out []string
+	for _, dc := range digestConfigs {
+		c := DefaultConfig()
+		dc.mut(&c)
+		c.MaxCycles = digestMaxCycles
+		if c.Faults.Enabled() {
+			continue // record and replay refuse fault injection
+		}
+		key := b.Name + " " + dc.name
+		g, err := New(c)
+		if err != nil {
+			return append(out, fmt.Sprintf("%s: %v", key, err))
+		}
+		var doc []byte
+		if res, err := g.Replay(lt); err != nil {
+			doc = []byte(err.Error())
+		} else if doc, err = json.Marshal(res); err != nil {
+			return append(out, fmt.Sprintf("%s: %v", key, err))
+		}
+		sum := sha256.Sum256(doc)
+		got := hex.EncodeToString(sum[:])
+		if fields := strings.Fields(want[key]); len(fields) != 4 || fields[2] != got {
+			out = append(out, fmt.Sprintf("%s: replay digest %s, execute pinned %q", key, got, want[key]))
+		}
+	}
+	return out
 }

@@ -192,7 +192,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				return fmt.Errorf("%s at pc %d lane %d: %w", in.Op, pc, lane, err)
 			}
 			if rv := s.recv; rv != nil && in.Op == isa.OpLdG {
-				rv.noteGlobal(addr, memLoad)
+				rv.noteGlobal(w, addr, false)
 			}
 			if v != res.dstVals[lane] {
 				res.dstVals[lane] = v
@@ -260,7 +260,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				return fmt.Errorf("%s at pc %d lane %d: %w", in.Op, pc, lane, err)
 			}
 			if rv := s.recv; rv != nil && in.Op == isa.OpStG {
-				rv.noteGlobal(addr, memStore)
+				rv.noteGlobal(w, addr, true)
 			}
 		}
 		s.memTiming(res, in.Op == isa.OpStG, eff)

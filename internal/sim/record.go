@@ -12,11 +12,12 @@ import (
 )
 
 // ErrUntraceable marks a launch whose value stream is irreducibly
-// schedule-dependent — some memory cell is accessed both atomically and
-// non-atomically — so no warped.trace/v1 capture of it can replay
-// correctly under other configurations. Callers fall back to execute mode.
-// Test with errors.Is.
-var ErrUntraceable = errors.New("sim: launch mixes atomic and non-atomic access to the same address; not traceable")
+// schedule-dependent — some global memory cell is accessed both atomically
+// and non-atomically, or plainly loaded by one warp and plainly stored by
+// another — so no warped.trace/v1 capture of it can replay correctly under
+// other configurations (SM count, CTA residency, epoch, L1 size, latencies).
+// Callers fall back to execute mode. Test with errors.Is.
+var ErrUntraceable = errors.New("sim: launch not traceable: a global address is accessed both atomically and non-atomically, or loaded by one warp and stored by another")
 
 // recorder tees the functional front-end into an exectrace.Launch while an
 // ordinary execute-mode simulation runs. It observes every issued
@@ -54,20 +55,50 @@ type recView struct {
 	pend []exectrace.AtomOp
 
 	// memUse tracks how each global address was touched by this SM, to
-	// detect the one program shape a trace cannot represent: a cell
-	// accessed both atomically and non-atomically in the same launch. Such
-	// mixing makes the value stream schedule-dependent, so record refuses
-	// it (see ErrUntraceable) rather than produce a trace that replays
-	// wrong.
-	memUse map[uint32]uint8
+	// detect the program shapes a trace cannot represent: a cell accessed
+	// both atomically and non-atomically, or one warp's plain load racing
+	// another warp's plain store, in the same launch. Either makes the
+	// value stream schedule-dependent, so record refuses it (see
+	// ErrUntraceable) rather than produce a trace that replays wrong.
+	memUse map[uint32]cellUse
 	err    error
 }
 
-const (
-	memLoad  uint8 = 1 << iota // non-atomic ld.global
-	memStore                   // non-atomic st.global
-	memAtom                    // atom.add
-)
+// cellUse is how one global address was touched during a launch: by an
+// atomic, and by which warps' plain loads and stores. A warp field holds
+// the warp's stream index + 1, 0 when no warp did, and severalWarps when
+// more than one warp did.
+type cellUse struct {
+	atom           bool
+	loader, storer int32
+}
+
+const severalWarps int32 = -1
+
+// joinWarp merges two warp fields of a cellUse.
+func joinWarp(a, b int32) int32 {
+	switch {
+	case a == 0 || a == b:
+		return b
+	case b == 0:
+		return a
+	}
+	return severalWarps
+}
+
+func (u cellUse) join(o cellUse) cellUse {
+	return cellUse{atom: u.atom || o.atom, loader: joinWarp(u.loader, o.loader), storer: joinWarp(u.storer, o.storer)}
+}
+
+// racy reports whether the cell's values depend on the schedule: it is
+// touched both atomically and plainly, or a warp loads it that is not the
+// one warp storing it.
+func (u cellUse) racy() bool {
+	if u.atom {
+		return u.loader != 0 || u.storer != 0
+	}
+	return u.loader != 0 && u.storer != 0 && (u.loader != u.storer || u.loader == severalWarps)
+}
 
 func newRecorder(l isa.Launch, numSMs int) *recorder {
 	// Snapshot the kernel without its reconvergence table: ReconvPC is an
@@ -93,7 +124,7 @@ func newRecorder(l isa.Launch, numSMs int) *recorder {
 	r.launch.Warps = r.streams
 	r.views = make([]*recView, numSMs)
 	for i := range r.views {
-		r.views[i] = &recView{r: r, memUse: make(map[uint32]uint8)}
+		r.views[i] = &recView{r: r, memUse: make(map[uint32]cellUse)}
 	}
 	return r
 }
@@ -103,20 +134,31 @@ func newRecorder(l isa.Launch, numSMs int) *recorder {
 // yet — the epoch barrier registers it into atomSeen when the deferred
 // atomic resolves.
 func (v *recView) noteAtom(addr, add uint32) {
-	if v.memUse[addr]&(memLoad|memStore) != 0 {
-		v.fail(addr)
-	}
-	v.memUse[addr] |= memAtom
+	u := v.memUse[addr]
+	u.atom = true
+	v.note(addr, u)
 	v.pend = append(v.pend, exectrace.AtomOp{Addr: addr, Add: add})
 }
 
-// noteGlobal is called for each executed lane of a non-atomic global
-// load/store.
-func (v *recView) noteGlobal(addr uint32, kind uint8) {
-	if v.memUse[addr]&memAtom != 0 {
+// noteGlobal is called for each executed lane of warp w's non-atomic
+// global load (store false) or store (store true).
+func (v *recView) noteGlobal(w *Warp, addr uint32, store bool) {
+	u := v.memUse[addr]
+	id := int32(w.ctaID*v.r.warpsPerCTA+w.warpInCTA) + 1
+	if store {
+		u.storer = joinWarp(u.storer, id)
+	} else {
+		u.loader = joinWarp(u.loader, id)
+	}
+	v.note(addr, u)
+}
+
+// note stores a cell's updated use and fails the view when it became racy.
+func (v *recView) note(addr uint32, u cellUse) {
+	v.memUse[addr] = u
+	if u.racy() {
 		v.fail(addr)
 	}
-	v.memUse[addr] |= kind
 }
 
 func (v *recView) fail(addr uint32) {
@@ -169,21 +211,21 @@ func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, r
 }
 
 // finish seals the launch: per-SM usage maps are merged to catch cross-SM
-// atomic/non-atomic aliasing (invisible to any single view's issue-time
-// check; the lowest conflicting address is reported so the error is
-// deterministic at every shard count), and the atomic launch-time table is
-// sorted by address so the serialized trace is canonical regardless of
-// discovery order.
+// races — atomic/non-atomic aliasing, or a load and a store by warps on
+// different SMs — invisible to any single view's issue-time check (the
+// lowest racy address is reported so the error is deterministic at every
+// shard count), and the atomic launch-time table is sorted by address so
+// the serialized trace is canonical regardless of discovery order.
 func (r *recorder) finish() (*exectrace.Launch, error) {
-	merged := make(map[uint32]uint8)
+	merged := make(map[uint32]cellUse)
 	for _, v := range r.views {
 		for addr, use := range v.memUse {
-			merged[addr] |= use
+			merged[addr] = merged[addr].join(use)
 		}
 	}
 	bad, found := uint32(0), false
 	for addr, use := range merged {
-		if use&memAtom != 0 && use&(memLoad|memStore) != 0 && (!found || addr < bad) {
+		if use.racy() && (!found || addr < bad) {
 			bad, found = addr, true
 		}
 	}

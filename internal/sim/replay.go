@@ -47,6 +47,16 @@ func (g *GPU) ReplayContextBeat(ctx context.Context, lt *exectrace.Launch, beat 
 	if err := lt.Validate(); err != nil {
 		return nil, err
 	}
+	var l isa.Launch
+	g.rp, l = newReplayRun(lt)
+	defer func() { g.rp = nil }()
+	return g.run(ctx, l, beat)
+}
+
+// newReplayRun prepares the per-run replay state of a trace launch, with
+// the shadow atomic memory seeded from its launch-time table, and returns
+// the launch it replays.
+func newReplayRun(lt *exectrace.Launch) (*replayRun, isa.Launch) {
 	l := isa.Launch{Kernel: lt.Kernel, Grid: lt.Grid, Block: lt.Block, Params: lt.Params}
 	rp := &replayRun{
 		launch:      lt,
@@ -56,9 +66,7 @@ func (g *GPU) ReplayContextBeat(ctx context.Context, lt *exectrace.Launch, beat 
 	for _, c := range lt.AtomInit {
 		rp.atoms[c.Addr] = c.Val
 	}
-	g.rp = rp
-	defer func() { g.rp = nil }()
-	return g.run(ctx, l, beat)
+	return rp, l
 }
 
 // replayStep is the replay-mode counterpart of execute: it advances the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -332,5 +333,59 @@ func TestRecordRejectsAtomicAliasing(t *testing.T) {
 	// The same launch still runs fine in plain execute mode.
 	if _, err := g.Run(l); err != nil {
 		t.Fatalf("execute mode of the same launch: %v", err)
+	}
+}
+
+// TestRecordRejectsCrossWarpRace: a cell one warp loads while another warp
+// stores it has a schedule-dependent value stream — SM count, epoch and
+// latencies decide which value the load sees. Record refuses it with
+// ErrUntraceable, whether both warps share an SM (the issue-time check) or
+// not (the merge in finish, which names the lowest racy address). A warp
+// that loads and stores only its own cells stays traceable.
+func TestRecordRejectsCrossWarpRace(t *testing.T) {
+	for _, tc := range []struct {
+		name, src   string
+		grid, block int
+		want        string // error substring; "" = traceable
+	}{
+		{"own-cells", steadyBoundedSrc, 2, 64, ""},
+		{"same-sm", `
+	mov  r0, %tid.x
+	mov  r2, 64
+	setp.eq p0, r0, 0
+@p0	st.global [r2], r0
+	ld.global r1, [r2]
+	exit
+`, 1, 64, "address 0x40"},
+		{"cross-sm", `
+	mov  r0, %ctaid.x
+	mov  r2, 96
+	mov  r3, 64
+	setp.eq p0, r0, 0
+@p0	st.global [r2], r0
+@p0	st.global [r3], r0
+@!p0	ld.global r1, [r2]
+@!p0	ld.global r1, [r3]
+	exit
+`, 2, 32, "address 0x40"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, err := asm.Assemble(tc.name, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := New(testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := isa.Launch{Kernel: k, Grid: isa.Dim3{X: tc.grid}, Block: isa.Dim3{X: tc.block}}
+			_, _, err = g.Record(l)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Record: %v", err)
+			case tc.want != "" && (!errors.Is(err, ErrUntraceable) || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Record: got %v, want ErrUntraceable naming %s", err, tc.want)
+			}
+		})
 	}
 }

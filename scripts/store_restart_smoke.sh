@@ -8,8 +8,8 @@
 # store directory and re-runs the identical campaign. The second run must
 # be served from the store — >= 90% store hits, zero recomputations — and
 # its merged report must be byte-identical to the first. A recorded trace
-# makes the same round trip: bfs is recorded before the SIGTERM, and the
-# restarted process must replay its ref — read back from disk — under a
+# makes the same round trip: pathfinder is recorded before the SIGTERM, and
+# the restarted process must replay its ref — read back from disk — under a
 # configuration the campaign never ran. This is the rolling-restart
 # contract of DESIGN.md §16 on real processes, sockets and disks.
 #
@@ -78,9 +78,9 @@ start_worker
 "$WORKDIR/warpedctl" sweep -workers "http://127.0.0.1:$PORT" \
     -spec "$SPEC" -o "$WORKDIR/cold.json" -quiet
 
-echo "== recording bfs; its trace is written through to the store"
+echo "== recording pathfinder; its trace is written through to the store"
 REC_ID="$(curl -fsS "http://127.0.0.1:$PORT/v1/jobs" \
-    -d '{"benchmark":"bfs","mode":"record","config":{"NumSMs":2}}' | json_field id)"
+    -d '{"benchmark":"pathfinder","mode":"record","config":{"NumSMs":2}}' | json_field id)"
 wait_job "$REC_ID"
 TRACE_REF="$(curl -fsS "http://127.0.0.1:$PORT/v1/jobs/$REC_ID" | json_field trace_ref)"
 if [ -z "$TRACE_REF" ]; then
