@@ -184,14 +184,14 @@ func TestChooseEncMemo(t *testing.T) {
 	w := newWarp(0, 0, 0, 0, isa.WarpSize, 8, 1)
 	const dst = isa.Reg(3)
 
-	var res execResult
+	res := execResult{dstVals: new(core.WarpReg)}
 	for i := range res.dstVals {
 		res.dstVals[i] = uint32(100 + i) // stride 1: classifies as <4,1>
 	}
 	res.unchanged = true
 
 	// First classification populates the cache even on the unchanged path.
-	want := core.ModeWarped.Choose(&res.dstVals)
+	want := core.ModeWarped.Choose(res.dstVals)
 	if got := s.chooseEnc(w, dst, &res); got != want {
 		t.Fatalf("cold chooseEnc = %v, want %v", got, want)
 	}

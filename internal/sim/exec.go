@@ -12,10 +12,15 @@ import (
 // the timing pipeline. It lives inside an inflight record (never copied once
 // issued) and owns fixed-size buffers for the coalesced segment list, so the
 // per-instruction path performs no heap allocation.
+//
+// dstVals points at the written vector instead of holding a copy: the
+// warp's own storage for the destination register (which the scoreboard
+// keeps from every other reader and writer until the write commits), or in
+// replay mode the trace's immutable value vector.
 type execResult struct {
-	dstVals   core.WarpReg // merged destination vector (valid when writes)
-	writes    bool         // instruction produces a register write
-	unchanged bool         // dstVals equals the register's previous committed value
+	dstVals   *core.WarpReg // merged destination vector (valid when writes)
+	writes    bool          // instruction produces a register write
+	unchanged bool          // dstVals equals the register's previous committed value
 	addrs     [isa.WarpSize]uint32
 	segBuf    [isa.WarpSize]uint32 // backing for the coalesced segment list
 	nsegs     int                  // coalesced 128-byte segments (global memory ops)
@@ -151,7 +156,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		t.pc++
 
 	case isa.OpSelP:
-		res.dstVals = w.regs[in.Dst]
+		res.dstVals = w.ownReg(in.Dst)
 		psel := w.preds[in.PSrc]
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
@@ -168,13 +173,12 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				changed = true
 			}
 		}
-		w.regs[in.Dst] = res.dstVals
 		res.writes = eff != 0
 		res.unchanged = !changed
 		t.pc++
 
 	case isa.OpLdG, isa.OpLdS:
-		res.dstVals = w.regs[in.Dst]
+		res.dstVals = w.ownReg(in.Dst)
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
 				continue
@@ -199,14 +203,13 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				changed = true
 			}
 		}
-		w.regs[in.Dst] = res.dstVals
 		res.writes = eff != 0
 		res.unchanged = !changed
 		s.memTiming(res, in.Op == isa.OpLdG, eff)
 		t.pc++
 
 	case isa.OpAtomAdd:
-		res.dstVals = w.regs[in.Dst]
+		res.dstVals = w.ownReg(in.Dst)
 		// Address computation, bounds checks and the trace note happen at
 		// issue in lane order; the read-modify-writes are deferred to the
 		// epoch barrier (SM.resolveAtom), which fills res.dstVals and
@@ -267,7 +270,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		t.pc++
 
 	default: // plain ALU/SFU register ops
-		res.dstVals = w.regs[in.Dst]
+		res.dstVals = w.ownReg(in.Dst)
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
 				continue
@@ -280,7 +283,6 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				changed = true
 			}
 		}
-		w.regs[in.Dst] = res.dstVals
 		res.writes = eff != 0
 		res.unchanged = !changed
 		t.pc++

@@ -68,32 +68,53 @@ type inflight struct {
 // advancePipeline moves every in-flight instruction forward one cycle, in
 // issue order (which makes oldest-first bank arbitration implicit), and
 // retires completed ones.
+//
+// An instruction is stepped only once it is due (DESIGN.md §20). Before
+// that it sits in a wait that nothing else can shorten — a latency, or a
+// full memory pipe whose room other issues only push later — so its step
+// would change nothing but report its due cycle to the sleep minimum; the
+// skip reports it instead. The instructions that are stepped are stepped
+// in issue order, so every arbitration and counter is as before.
 func (s *SM) advancePipeline() {
-	out := s.inflight[:0]
-	for _, f := range s.inflight {
-		stage, wbReady, l1Checked := f.stage, f.wbReady, f.l1Checked
-		if s.advance(f) {
-			s.retire(f)
-			s.freeInflight(f)
-			s.moved = true
-			continue
+	n := 0
+	for i, f := range s.inflight {
+		due := s.due[i]
+		if due > s.cycle {
+			s.waitUntil(due)
+		} else {
+			stage, wbReady, l1Checked := f.stage, f.wbReady, f.l1Checked
+			var done bool
+			if due, done = s.advance(f); done {
+				s.retire(f)
+				s.freeInflight(f)
+				s.moved = true
+				continue
+			}
+			if f.stage != stage || f.wbReady != wbReady || f.l1Checked != l1Checked {
+				s.moved = true
+			}
 		}
-		if f.stage != stage || f.wbReady != wbReady || f.l1Checked != l1Checked {
-			s.moved = true
+		if n != i {
+			s.inflight[n] = f
 		}
-		out = append(out, f)
+		s.due[n] = due
+		n++
 	}
-	s.inflight = out
+	s.inflight, s.due = s.inflight[:n], s.due[:n]
 }
 
-// advance runs one cycle of an instruction's state machine; returns true
-// when the instruction has fully retired. `continue` transitions consume no
-// time; `return false` waits for the next cycle. Waits on a known cycle
-// report it through waitUntil; stages that contend for a shared resource
-// (bank read ports, decompressors, compressors, write ports) mark the step
-// as moved, since they either progress next cycle or lost to an
-// instruction that progressed this one.
-func (s *SM) advance(f *inflight) bool {
+// advance runs one cycle of an instruction's state machine; returns done
+// when the instruction has fully retired, and otherwise the cycle it is
+// next due: the end of a known wait — readyAt in the three wait stages,
+// the pipe's room for a blocked global access — or 0, stepped again next
+// cycle. `continue` transitions consume no time; returns wait for a later
+// cycle. Waits on a known cycle report it through waitUntil; stages that
+// contend for a shared resource (bank read ports, decompressors,
+// compressors, write ports) mark the step as moved, since they either
+// progress next cycle or lost to an instruction that progressed this one.
+// A write waiting on a bank wakeup is due every cycle, because each of
+// its cycles counts a StallWakeup.
+func (s *SM) advance(f *inflight) (due uint64, done bool) {
 	for {
 		switch f.stage {
 		case stCollect:
@@ -112,7 +133,7 @@ func (s *SM) advance(f *inflight) bool {
 			}
 			f.nPending = rem
 			if rem > 0 {
-				return false
+				return 0, false
 			}
 			s.collectorsInUse--
 			if f.compSrcs > 0 {
@@ -120,14 +141,14 @@ func (s *SM) advance(f *inflight) bool {
 			} else {
 				f.stage = stExecStart
 			}
-			return false // operand data arrives next cycle
+			return 0, false // operand data arrives next cycle
 
 		case stDecomp:
 			for f.compSrcs > 0 {
 				ready, ok := s.decomp.TryStart(s.cycle)
 				if !ok {
 					s.moved = true
-					return false
+					return 0, false
 				}
 				if ready > f.unitReady {
 					f.unitReady = ready
@@ -141,15 +162,16 @@ func (s *SM) advance(f *inflight) bool {
 		case stDecompWait:
 			if s.cycle < f.readyAt {
 				s.waitUntil(f.readyAt)
-				return false
+				return f.readyAt, false
 			}
 			f.stage = stExecStart
 			continue
 
 		case stExecStart:
 			if !s.startExec(f) {
-				s.waitUntil(s.memPipe.RoomAt(f.missTxns))
-				return false
+				room := s.memPipe.RoomAt(f.missTxns)
+				s.waitUntil(room)
+				return room, false
 			}
 			f.stage = stExecWait
 			continue
@@ -157,18 +179,18 @@ func (s *SM) advance(f *inflight) bool {
 		case stExecWait:
 			if s.cycle < f.readyAt {
 				s.waitUntil(f.readyAt)
-				return false
+				return f.readyAt, false
 			}
 			// Release predicate results at execute completion.
 			if f.in != nil && f.in.Op == isa.OpSetP {
 				f.w.predBusy &^= 1 << f.in.PDst
 			}
 			if !f.res.writes {
-				return true
+				return 0, true
 			}
 			if s.cfg.RFCEntries > 0 && !f.dummy {
 				s.rfcCommit(f)
-				return true
+				return 0, true
 			}
 			if s.needCompressor(f) {
 				f.stage = stCompress
@@ -185,7 +207,7 @@ func (s *SM) advance(f *inflight) bool {
 			if !ok {
 				s.st.StallCompressor++
 				s.moved = true
-				return false
+				return 0, false
 			}
 			f.readyAt = ready
 			f.enc = s.chooseEnc(f.w, f.in.Dst, &f.res)
@@ -195,7 +217,7 @@ func (s *SM) advance(f *inflight) bool {
 		case stCompressWait:
 			if s.cycle < f.readyAt {
 				s.waitUntil(f.readyAt)
-				return false
+				return f.readyAt, false
 			}
 			f.stage = stWrite
 			continue
@@ -221,14 +243,14 @@ func (s *SM) advance(f *inflight) bool {
 			if maxReady > s.cycle {
 				s.st.StallWakeup++
 				s.waitUntil(maxReady)
-				return false
+				return 0, false
 			}
 			// All-or-nothing write port acquisition keeps the
 			// multi-bank write atomic.
 			for _, b := range f.wbBanks[:f.nWB] {
 				if s.writePort[b] == s.cycle {
 					s.moved = true
-					return false
+					return 0, false
 				}
 			}
 			for _, b := range f.wbBanks[:f.nWB] {
@@ -236,7 +258,7 @@ func (s *SM) advance(f *inflight) bool {
 				s.rfFile.CountWrite(int(b), s.cycle)
 			}
 			s.commitWrite(f)
-			return true
+			return 0, true
 		}
 	}
 }
@@ -338,16 +360,21 @@ func (s *SM) commitWrite(f *inflight) {
 		dst = f.in.Dst
 	}
 	// Classify the achievable compressed size (Fig 8/15 measure the written
-	// data's compressibility independent of the divergence storage policy)
-	// before fault corruption invalidates the memo. When the write went
-	// through the compressor the same policy already classified this exact
-	// vector, so its encoding is reused directly.
+	// data's compressibility independent of the divergence storage policy),
+	// and characterize the value, before fault corruption changes the
+	// vector dstVals points at and invalidates the memo. When the write
+	// went through the compressor the same policy already classified this
+	// exact vector, so its encoding is reused directly.
 	var statsEnc core.Encoding
 	if !f.dummy {
 		if s.needCompressor(f) {
 			statsEnc = f.enc
 		} else {
 			statsEnc = s.chooseEnc(f.w, dst, &f.res)
+		}
+		if s.cfg.CharacterizeWrites {
+			s.st.WriteBins[f.phase()][valueprof.BinOf(f.res.dstVals)]++
+			s.st.BDIChoices[valueprof.ExplorerChoice(f.res.dstVals)]++
 		}
 	}
 	// Corrupt before clearing the scoreboard bit: dependent readers cannot
@@ -359,10 +386,7 @@ func (s *SM) commitWrite(f *inflight) {
 		return // mechanism artifact: excluded from write statistics
 	}
 
-	phase := stats.NonDivergent
-	if f.partial {
-		phase = stats.Divergent
-	}
+	phase := f.phase()
 	s.st.RegWrites[phase]++
 	s.st.WriteOrigBanks[phase] += core.WarpBanks
 	s.st.WritesByEnc[phase][f.enc]++
@@ -374,11 +398,14 @@ func (s *SM) commitWrite(f *inflight) {
 		s.st.CensusSamples[phase]++
 		s.st.CensusCompressed[phase] += float64(compressed) / float64(written)
 	}
+}
 
-	if s.cfg.CharacterizeWrites {
-		s.st.WriteBins[phase][valueprof.BinOf(&f.res.dstVals)]++
-		s.st.BDIChoices[valueprof.ExplorerChoice(&f.res.dstVals)]++
+// phase is the write-statistics phase of a register write.
+func (f *inflight) phase() stats.Phase {
+	if f.partial {
+		return stats.Divergent
 	}
+	return stats.NonDivergent
 }
 
 // applyFaults models register-file corruption on the write that just
@@ -395,7 +422,7 @@ func (s *SM) applyFaults(f *inflight, dst isa.Reg, full bool) {
 	if inj == nil {
 		return
 	}
-	regs := &f.w.regs[dst]
+	regs := f.w.regs[dst]
 	stuck := false
 	for _, bb := range f.wbBanks[:f.nWB] {
 		b := int(bb)
@@ -456,10 +483,7 @@ func (s *SM) rfcCommit(f *inflight) {
 	}
 	w.regBusy &^= 1 << f.in.Dst
 
-	phase := stats.NonDivergent
-	if f.partial {
-		phase = stats.Divergent
-	}
+	phase := f.phase()
 	s.st.RegWrites[phase]++
 	s.st.WriteOrigBanks[phase] += core.WarpBanks
 	s.st.WriteCompBanks[phase] += core.WarpBanks // the RFC stores full width

@@ -188,7 +188,7 @@ func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, r
 			rec.Flags |= exectrace.FlagUnchanged
 		} else {
 			rec.Flags |= exectrace.FlagVals
-			ws.Vals = append(ws.Vals, res.dstVals)
+			ws.Vals = append(ws.Vals, *res.dstVals)
 		}
 	}
 	switch in.Op {

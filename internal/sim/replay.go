@@ -102,7 +102,7 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 		// record exists for issue-slot and scoreboard timing only.
 
 	case isa.OpAtomAdd:
-		res.dstVals = w.regs[in.Dst]
+		res.dstVals = w.ownReg(in.Dst)
 		// Cursor advance happens at issue; the shadow-memory
 		// read-modify-writes resolve at the epoch barrier
 		// (SM.resolveReplayAtom) in SM-id order — the same global order
@@ -126,7 +126,8 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 		if r.Flags&exectrace.FlagWrites != 0 {
 			res.writes = true
 			if r.Flags&exectrace.FlagVals != 0 {
-				res.dstVals = st.Vals[w.rpVal]
+				// By reference: the trace is immutable for the run.
+				res.dstVals = &st.Vals[w.rpVal]
 				w.rpVal++
 				w.regs[in.Dst] = res.dstVals
 			} else {

@@ -60,7 +60,7 @@ func TestChooseEncMemoSchemeSwap(t *testing.T) {
 	w := newWarp(0, 0, 0, 0, isa.WarpSize, 8, 1)
 	const dst = isa.Reg(3)
 
-	var res execResult
+	res := execResult{dstVals: new(core.WarpReg)}
 	for i := range res.dstVals {
 		// Stride 1 from base 100: BDI packs it as a 1-byte-delta class,
 		// but lanes 28..31 exceed int8 so FPC's narrow class rejects it —
@@ -69,8 +69,8 @@ func TestChooseEncMemoSchemeSwap(t *testing.T) {
 	}
 	res.unchanged = true
 
-	wantB := bdi.Choose(int(dst), &res.dstVals, core.ModeWarped)
-	wantF := fpc.Choose(int(dst), &res.dstVals, core.ModeWarped)
+	wantB := bdi.Choose(int(dst), res.dstVals, core.ModeWarped)
+	wantF := fpc.Choose(int(dst), res.dstVals, core.ModeWarped)
 	if wantB == wantF {
 		t.Fatalf("test vector does not distinguish schemes (both %v)", wantB)
 	}

@@ -278,8 +278,9 @@ func (s *SM) commitMemLog() {
 // reads the running value (CUDA atomicAdd semantics for any one
 // serialization order; SM-id x issue x lane order keeps it deterministic).
 // The old-value vector and the unchanged bit land in the inflight's result
-// before the pipeline consumes them (its destination register is still
-// scoreboarded — nothing has read it since issue).
+// — the destination register's own storage in the warp — before the
+// pipeline consumes them (the register is still scoreboarded — nothing has
+// read it since issue).
 func (s *SM) resolveAtom(f *inflight) {
 	gmem := s.gpu.mem
 	rec := s.gpu.rec
@@ -304,7 +305,6 @@ func (s *SM) resolveAtom(f *inflight) {
 		}
 	}
 	f.res.unchanged = !changed
-	f.w.regs[f.in.Dst] = f.res.dstVals
 }
 
 // resolveReplayAtom is resolveAtom for replay mode: the recorded per-lane
@@ -330,5 +330,4 @@ func (s *SM) resolveReplayAtom(f *inflight) {
 		}
 	}
 	f.res.unchanged = !changed
-	f.w.regs[f.in.Dst] = f.res.dstVals
 }

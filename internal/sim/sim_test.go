@@ -395,3 +395,28 @@ func TestGuardedExit(t *testing.T) {
 		}
 	}
 }
+
+// TestWideSMIssuesEveryWarp runs more resident warps per scheduler than one
+// word of SM.running holds: every warp must still issue, in slot order
+// across the word boundary.
+func TestWideSMIssuesEveryWarp(t *testing.T) {
+	c := testConfig()
+	c.NumSMs = 1
+	c.SchedulersPerSM = 1
+	c.MaxWarpsPerSM = 96
+	c.MaxCTAsPerSM = 48
+	const ctas = 48
+	g, res, _ := runKernel(t, c, tidKernelSrc, ctas, 64, nil)
+	got, err := g.Mem().ReadInt32(0, ctas*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != int32(i) {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i)
+		}
+	}
+	if res.Stats.Instructions == 0 {
+		t.Fatal("no instructions issued")
+	}
+}

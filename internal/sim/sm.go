@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -41,7 +42,17 @@ type SM struct {
 	memPipe *mem.Pipe
 	l1      *mem.Cache // nil when disabled
 
-	inflight []*inflight // issue order
+	// running has a bit per warp slot whose warp can issue — resident, not
+	// waiting at a barrier, not finished — grouped by scheduler so issueAll
+	// scans only those: slot j*SchedulersPerSM+si is bit j of the runWords
+	// words of scheduler si.
+	running  []uint64
+	runWords int
+
+	// In-flight instructions in issue order, and beside each the cycle it
+	// is next due to be stepped (see advancePipeline).
+	inflight []*inflight
+	due      []uint64
 
 	// Per-cycle bank port reservations: stamp == cycle means taken.
 	readPort  [regfile.NumBanks]uint64
@@ -141,15 +152,18 @@ func (s *SM) regfileConfig() regfile.Config {
 
 func newSM(id int, gpu *GPU) *SM {
 	cfg := &gpu.cfg
+	runWords := (cfg.MaxWarpsPerSM/cfg.SchedulersPerSM + 63) / 64
 	s := &SM{
-		id:      id,
-		cfg:     cfg,
-		gpu:     gpu,
-		warps:   make([]*Warp, cfg.MaxWarpsPerSM),
-		ctas:    make([]*ctaState, cfg.MaxCTAsPerSM),
-		comp:    core.NewUnitPool(cfg.Compressors, cfg.CompressLatency),
-		decomp:  core.NewUnitPool(cfg.Decompressors, cfg.DecompressLatency),
-		memPipe: mem.NewPipe(cfg.GlobalLatency, cfg.GlobalMaxInflight),
+		id:       id,
+		cfg:      cfg,
+		gpu:      gpu,
+		warps:    make([]*Warp, cfg.MaxWarpsPerSM),
+		running:  make([]uint64, cfg.SchedulersPerSM*runWords),
+		runWords: runWords,
+		ctas:     make([]*ctaState, cfg.MaxCTAsPerSM),
+		comp:     core.NewUnitPool(cfg.Compressors, cfg.CompressLatency),
+		decomp:   core.NewUnitPool(cfg.Decompressors, cfg.DecompressLatency),
+		memPipe:  mem.NewPipe(cfg.GlobalLatency, cfg.GlobalMaxInflight),
 
 		memOverlay: make(map[uint32]uint32),
 		issuedCtr:  new(uint64), // run() retargets to the owning shard
@@ -176,7 +190,7 @@ func (s *SM) reset(l isa.Launch) {
 	cfg := s.cfg
 	s.launch = l
 	s.kernel = l.Kernel
-	s.inflight = s.inflight[:0]
+	s.inflight, s.due = s.inflight[:0], s.due[:0]
 	s.st = stats.Stats{}
 	// Rebuild the injector so each launch draws the same seed-determined
 	// fault pattern and transient stream (per-launch determinism).
@@ -194,9 +208,8 @@ func (s *SM) reset(l isa.Launch) {
 	} else {
 		s.l1 = nil
 	}
-	for i := range s.warps {
-		s.warps[i] = nil
-	}
+	clear(s.warps)
+	clear(s.running)
 	for i := range s.ctas {
 		s.ctas[i] = &ctaState{}
 	}
@@ -293,7 +306,9 @@ func (s *SM) tryLaunchCTA(ctaID int, cycle uint64) bool {
 		if s.gpu.rp != nil {
 			w.rpStream = s.gpu.rp.stream(ctaID, wi)
 		}
+		s.setNext(w)
 		s.warps[slot] = w
+		s.setRunning(slot, true)
 		if err := s.rfFile.AllocWarp(slot, s.kernel.NumRegs); err != nil {
 			s.err = err
 			return false
@@ -357,19 +372,31 @@ func (s *SM) settle(c uint64) {
 	s.wakeAt, s.sleepFrom = 0, 0
 }
 
-// issueAll lets every scheduler issue at most one instruction.
+// setRunning sets or clears a warp slot's bit in running.
+func (s *SM) setRunning(slot int, on bool) {
+	nsched := s.cfg.SchedulersPerSM
+	j := slot / nsched
+	word, bit := &s.running[slot%nsched*s.runWords+j/64], uint64(1)<<(j%64)
+	if on {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+}
+
+// issueAll lets every scheduler issue at most one instruction, choosing
+// among its running warps in slot order.
 func (s *SM) issueAll() {
 	nsched := s.cfg.SchedulersPerSM
 	cands := s.cands[:0]
 	for si := 0; si < nsched && s.err == nil; si++ {
 		cands = cands[:0]
-		for slot := si; slot < len(s.warps); slot += nsched {
-			w := s.warps[slot]
-			if w == nil || w.state != warpRunning {
-				continue
-			}
-			if s.canIssue(w) {
-				cands = append(cands, sched.Candidate{Slot: slot, Age: w.age})
+		for k, word := range s.running[si*s.runWords : (si+1)*s.runWords] {
+			for ; word != 0; word &= word - 1 {
+				slot := (k*64+bits.TrailingZeros64(word))*nsched + si
+				if w := s.warps[slot]; s.canIssue(w) {
+					cands = append(cands, sched.Candidate{Slot: slot, Age: w.age})
+				}
 			}
 		}
 		if len(cands) == 0 {
@@ -381,60 +408,59 @@ func (s *SM) issueAll() {
 	s.cands = cands[:0] // retain grown backing
 }
 
-// nextInstr returns the warp's next instruction: the SIMT stack top in
-// execute/record mode, the trace cursor in replay mode. nil when the warp
-// has nothing left to issue.
-func (s *SM) nextInstr(w *Warp) *isa.Instr {
+// setNext caches the issue hazards of the warp's next instruction — the
+// SIMT stack top in execute/record mode, the trace cursor in replay mode —
+// for canIssue. The next instruction changes only when the warp launches or
+// issues, so those are the only callers. A warp with nothing left to issue
+// has finished, and issueAll no longer looks at it.
+func (s *SM) setNext(w *Warp) {
+	var in *isa.Instr
 	if s.gpu.rp != nil {
 		if w.rpRec >= len(w.rpStream.Recs) {
-			return nil
+			return
 		}
-		return &s.kernel.Code[w.rpStream.Recs[w.rpRec].PC]
+		in = &s.kernel.Code[w.rpStream.Recs[w.rpRec].PC]
+	} else {
+		t := w.tos()
+		if t == nil {
+			return
+		}
+		in = &s.kernel.Code[t.pc]
 	}
-	t := w.tos()
-	if t == nil {
-		return nil
-	}
-	return &s.kernel.Code[t.pc]
-}
-
-// canIssue checks every issue hazard for the warp's next instruction.
-func (s *SM) canIssue(w *Warp) bool {
-	in := s.nextInstr(w)
-	if in == nil {
-		return false
-	}
-
+	// Register scoreboard: RAW on sources, WAW on the destination.
 	// Predicate scoreboard: guard, comparison destination, selp source.
-	if in.Pred != isa.PredNone && w.predBusy&(1<<in.Pred) != 0 {
-		s.st.StallScoreboard++
-		return false
-	}
-	if in.PDst != isa.PredNone && w.predBusy&(1<<in.PDst) != 0 {
-		s.st.StallScoreboard++
-		return false
-	}
-	if in.PSrc != isa.PredNone && w.predBusy&(1<<in.PSrc) != 0 {
-		s.st.StallScoreboard++
-		return false
-	}
-	// Register scoreboard: RAW on sources, WAW on destination.
+	var regs uint64
 	for _, src := range in.Srcs {
-		if src.Kind == isa.OperandReg && w.regBusy&(1<<src.Reg) != 0 {
-			s.st.StallScoreboard++
-			return false
+		if src.Kind == isa.OperandReg {
+			regs |= 1 << src.Reg
 		}
 	}
-	if in.HasDst() && w.regBusy&(1<<in.Dst) != 0 {
-		s.st.StallScoreboard++
-		return false
+	if in.HasDst() {
+		regs |= 1 << in.Dst
 	}
+	var preds uint8
+	for _, p := range [...]isa.PredReg{in.Pred, in.PDst, in.PSrc} {
+		if p != isa.PredNone {
+			preds |= 1 << p
+		}
+	}
+	w.nextRegs, w.nextPreds = regs, preds
 	// Structural: non-control instructions (and dummy MOVs) need a
 	// collector unit. A collector is held only while bank reads are
 	// outstanding: once operands are collected they are handed to the
 	// decompressor pipeline (paper Figure 1 places the decompressors
 	// between collectors and execution units, with their own buffering).
-	if in.Op.Class() != isa.ClassCtrl && s.collectorsInUse >= s.cfg.Collectors {
+	w.nextColl = in.Op.Class() != isa.ClassCtrl
+}
+
+// canIssue checks every issue hazard of the warp's next instruction
+// against the masks setNext cached. A failed check counts one stall.
+func (s *SM) canIssue(w *Warp) bool {
+	if w.regBusy&w.nextRegs != 0 || w.predBusy&w.nextPreds != 0 {
+		s.st.StallScoreboard++
+		return false
+	}
+	if w.nextColl && s.collectorsInUse >= s.cfg.Collectors {
 		s.st.StallCollector++
 		return false
 	}
@@ -503,6 +529,7 @@ func (s *SM) issue(w *Warp) {
 			}
 		}
 	}
+	s.setNext(w)
 	if in.Op.Class() == isa.ClassCtrl {
 		s.freeInflight(f)
 		return // branches/exit/barrier/nop resolve entirely at issue
@@ -559,9 +586,16 @@ func (s *SM) issue(w *Warp) {
 	if in.Op == isa.OpSetP {
 		w.predBusy |= 1 << in.PDst
 	}
-	w.inFlight++
+	s.admit(f)
+}
+
+// admit enters an issued instruction into the pipeline: it holds a
+// collector from now on and is due for its first step next cycle.
+func (s *SM) admit(f *inflight) {
+	f.w.inFlight++
 	s.collectorsInUse++
 	s.inflight = append(s.inflight, f)
+	s.due = append(s.due, 0)
 }
 
 // issueDummyMov injects the decompress-in-place MOV of paper §5.2.
@@ -573,9 +607,10 @@ func (s *SM) issueDummyMov(w *Warp, dst isa.Reg, dstID int) {
 	f.dummy = true
 	f.stage = stCollect
 	f.dstID = dstID
+	// The value is the register's own; only its encoding changes. A dummy
+	// write skips chooseEnc, the write statistics and characterization, so
+	// its result carries no value vector.
 	f.res.writes = true
-	f.res.unchanged = true
-	f.res.dstVals = w.regs[dst] // value is unchanged; only the encoding changes
 	var buf [regfile.BanksPerCluster]int
 	for _, b := range s.rfFile.ReadBanks(dstID, w.launchMask, buf[:0]) {
 		f.pendingBanks[f.nPending] = uint8(b)
@@ -584,14 +619,13 @@ func (s *SM) issueDummyMov(w *Warp, dst isa.Reg, dstID int) {
 	f.compSrcs = 1
 	w.regBusy |= 1 << dst
 	f.dummyDst = dst
-	w.inFlight++
-	s.collectorsInUse++
-	s.inflight = append(s.inflight, f)
+	s.admit(f)
 }
 
 // arriveBarrier handles bar.sync issue.
 func (s *SM) arriveBarrier(w *Warp) {
 	w.state = warpAtBarrier
+	s.setRunning(w.slot, false)
 	cta := s.ctas[w.ctaSlot]
 	cta.barrier++
 	s.checkBarrier(cta)
@@ -606,12 +640,14 @@ func (s *SM) checkBarrier(cta *ctaState) {
 	for _, slot := range cta.slots {
 		if w := s.warps[slot]; w != nil && w.state == warpAtBarrier {
 			w.state = warpRunning
+			s.setRunning(slot, true)
 		}
 	}
 }
 
 // warpExited is called when the last thread of a warp leaves.
 func (s *SM) warpExited(w *Warp) {
+	s.setRunning(w.slot, false)
 	cta := s.ctas[w.ctaSlot]
 	cta.liveWarps--
 	s.liveWarps--
@@ -667,7 +703,7 @@ func (s *SM) chooseEnc(w *Warp, dst isa.Reg, res *execResult) core.Encoding {
 	if res.unchanged && w.encValid&(1<<dst) != 0 {
 		return w.encCache[dst]
 	}
-	e := s.gpu.comp.Choose(int(dst), &res.dstVals, s.gpu.policy)
+	e := s.gpu.comp.Choose(int(dst), res.dstVals, s.gpu.policy)
 	w.encCache[dst] = e
 	w.encValid |= 1 << dst
 	return e

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/bits"
-
 	"repro/internal/core"
 	"repro/internal/exectrace"
 	"repro/internal/isa"
@@ -26,20 +24,40 @@ const (
 )
 
 // Warp is one resident warp: functional register state plus SIMT control.
+// The fields the per-cycle issue scan reads lead, so they share a cache
+// line.
 type Warp struct {
+	state warpState
+	age   uint64
+
+	// Scoreboard: destination registers/predicates with writes in flight.
+	regBusy  uint64
+	predBusy uint8
+
+	// Issue hazards of the next instruction, cached by SM.setNext when the
+	// warp launches or issues — the only points its next instruction
+	// changes: the registers it reads or writes (RAW and WAW), the
+	// predicates it reads or writes, and whether it needs a collector.
+	nextRegs  uint64
+	nextPreds uint8
+	nextColl  bool
+
 	slot      int // hardware warp slot on the SM
 	ctaSlot   int // CTA slot on the SM
 	ctaID     int // global CTA index in the grid
 	warpInCTA int // warp index within the CTA
-	age       uint64
 
 	launchMask uint32 // live (not yet exited) threads
 	stack      []stackEntry
 
-	regs  [][isa.WarpSize]uint32 // [reg][lane] functional values
-	preds [isa.MaxPreds]uint32   // per-predicate lane bitmasks
+	// regs[r] points at register r's current value vector: the warp's own
+	// storage regBuf[r], or in replay mode a value vector of the immutable
+	// trace (see replayStep). Writers that merge lanes into a register take
+	// its own storage through ownReg.
+	regs   []*core.WarpReg
+	regBuf []core.WarpReg
+	preds  [isa.MaxPreds]uint32 // per-predicate lane bitmasks
 
-	state     warpState
 	inFlight  int  // issued but not retired instructions
 	finalized bool // resources already released
 
@@ -47,10 +65,6 @@ type Warp struct {
 	// LRU of recently written warp registers.
 	rfc      []rfcEntry
 	rfcStamp uint64
-
-	// Scoreboard: destination registers/predicates with writes in flight.
-	regBusy  uint64
-	predBusy uint8
 
 	// Encoding memo (see SM.chooseEnc): encCache[r] holds the compression
 	// encoding classified for register r's current committed value; the
@@ -98,11 +112,15 @@ func (w *Warp) reset(slot, ctaSlot, ctaID, warpInCTA int, liveThreads int, numRe
 	w.age = age
 	w.launchMask = mask
 	w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: -1, mask: mask})
-	if cap(w.regs) >= numRegs {
-		w.regs = w.regs[:numRegs]
-		clear(w.regs)
+	if cap(w.regBuf) >= numRegs {
+		w.regBuf = w.regBuf[:numRegs]
+		clear(w.regBuf)
 	} else {
-		w.regs = make([][isa.WarpSize]uint32, numRegs)
+		w.regBuf = make([]core.WarpReg, numRegs)
+	}
+	w.regs = w.regs[:0]
+	for i := range w.regBuf {
+		w.regs = append(w.regs, &w.regBuf[i])
 	}
 	w.preds = [isa.MaxPreds]uint32{}
 	w.state = warpRunning
@@ -112,6 +130,7 @@ func (w *Warp) reset(slot, ctaSlot, ctaID, warpInCTA int, liveThreads int, numRe
 	w.rfcStamp = 0
 	w.regBusy = 0
 	w.predBusy = 0
+	w.nextRegs, w.nextPreds, w.nextColl = 0, 0, false
 	w.encValid = 0
 	w.encComp = nil
 	w.rpStream = nil
@@ -126,11 +145,16 @@ func (w *Warp) tos() *stackEntry {
 	return &w.stack[len(w.stack)-1]
 }
 
-// pc returns the warp's current program counter.
-func (w *Warp) pc() int32 { return w.tos().pc }
-
-// activeMask returns the current SIMT active mask.
-func (w *Warp) activeMask() uint32 { return w.tos().mask }
+// ownReg returns register r's value vector in the warp's own storage,
+// copying the current value there first when it points into a trace.
+func (w *Warp) ownReg(r isa.Reg) *core.WarpReg {
+	own := &w.regBuf[r]
+	if v := w.regs[r]; v != own {
+		*own = *v
+		w.regs[r] = own
+	}
+	return own
+}
 
 // guardMask evaluates an instruction guard over the warp: the subset of
 // lanes whose guard predicate holds (all lanes for unguarded instructions).
@@ -245,6 +269,3 @@ func (w *Warp) rfcInsert(reg isa.Reg, capacity int) (evicted isa.Reg, dirty bool
 	w.rfc[victim] = rfcEntry{reg: reg, dirty: true, lru: w.rfcStamp}
 	return evicted, dirty, true
 }
-
-// countBits is a readability helper for mask population counts.
-func countBits(m uint32) int { return bits.OnesCount32(m) }

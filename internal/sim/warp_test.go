@@ -34,13 +34,13 @@ func TestDivergeSplitsMask(t *testing.T) {
 func TestDivergeUniformTaken(t *testing.T) {
 	w := testWarp()
 	w.diverge(0xFFFFFFFF, 10, 3, 20)
-	if len(w.stack) != 1 || w.pc() != 10 {
-		t.Fatalf("uniform taken should just jump: depth %d pc %d", len(w.stack), w.pc())
+	if len(w.stack) != 1 || w.tos().pc != 10 {
+		t.Fatalf("uniform taken should just jump: depth %d pc %d", len(w.stack), w.tos().pc)
 	}
 	w2 := testWarp()
 	w2.diverge(0, 10, 3, 20)
-	if len(w2.stack) != 1 || w2.pc() != 3 {
-		t.Fatalf("uniform not-taken should fall through: depth %d pc %d", len(w2.stack), w2.pc())
+	if len(w2.stack) != 1 || w2.tos().pc != 3 {
+		t.Fatalf("uniform not-taken should fall through: depth %d pc %d", len(w2.stack), w2.tos().pc)
 	}
 }
 
@@ -50,14 +50,14 @@ func TestReconvergencePops(t *testing.T) {
 	// Taken side reaches the reconvergence point.
 	w.tos().pc = 20
 	w.popReconverged()
-	if w.pc() != 3 || w.activeMask() != 0xFFFF0000 {
-		t.Fatalf("after taken pops: pc %d mask %#x", w.pc(), w.activeMask())
+	if w.tos().pc != 3 || w.tos().mask != 0xFFFF0000 {
+		t.Fatalf("after taken pops: pc %d mask %#x", w.tos().pc, w.tos().mask)
 	}
 	// Fallthrough side reaches it too: both pop, full mask resumes at 20.
 	w.tos().pc = 20
 	w.popReconverged()
-	if w.pc() != 20 || w.activeMask() != 0xFFFFFFFF || len(w.stack) != 1 {
-		t.Fatalf("after both pop: pc %d mask %#x depth %d", w.pc(), w.activeMask(), len(w.stack))
+	if w.tos().pc != 20 || w.tos().mask != 0xFFFFFFFF || len(w.stack) != 1 {
+		t.Fatalf("after both pop: pc %d mask %#x depth %d", w.tos().pc, w.tos().mask, len(w.stack))
 	}
 }
 
@@ -72,8 +72,8 @@ func TestRetireThreads(t *testing.T) {
 		t.Fatalf("launch mask %#x", w.launchMask)
 	}
 	// The dead taken entry must have been popped.
-	if w.pc() != 3 || w.activeMask() != 0xFFFF0000 {
-		t.Fatalf("pc %d mask %#x after exit", w.pc(), w.activeMask())
+	if w.tos().pc != 3 || w.tos().mask != 0xFFFF0000 {
+		t.Fatalf("pc %d mask %#x after exit", w.tos().pc, w.tos().mask)
 	}
 	if done := w.retireThreads(0xFFFF0000); !done {
 		t.Fatal("warp should finish when all lanes exit")
@@ -88,7 +88,7 @@ func TestPartialWarpLaunchMask(t *testing.T) {
 	if w.launchMask != (1<<20)-1 {
 		t.Fatalf("launch mask %#x for 20 threads", w.launchMask)
 	}
-	if w.activeMask() != w.launchMask {
+	if w.tos().mask != w.launchMask {
 		t.Fatal("initial active mask must equal launch mask")
 	}
 }
@@ -127,13 +127,13 @@ func TestStackMaskInvariant(t *testing.T) {
 			}
 			switch o.Kind % 3 {
 			case 0: // diverge from current active mask
-				taken := o.Taken & w.activeMask()
+				taken := o.Taken & w.tos().mask
 				w.diverge(taken, 5, 6, 7)
 			case 1: // reach reconvergence
 				w.tos().pc = w.tos().rpc
 				w.popReconverged()
 			case 2: // some active lanes exit
-				w.retireThreads(o.Retire & w.activeMask())
+				w.retireThreads(o.Retire & w.tos().mask)
 			}
 			// Invariants.
 			if len(w.stack) == 0 {
@@ -142,10 +142,10 @@ func TestStackMaskInvariant(t *testing.T) {
 				}
 				break
 			}
-			if w.activeMask() & ^w.launchMask != 0 {
+			if w.tos().mask & ^w.launchMask != 0 {
 				return false
 			}
-			if w.activeMask() == 0 {
+			if w.tos().mask == 0 {
 				return false // popReconverged must drop dead entries
 			}
 		}
@@ -181,11 +181,5 @@ func TestRFCInsertLRU(t *testing.T) {
 	// Rewriting a resident register must not evict.
 	if _, _, evicted := w.rfcInsert(1, 2); evicted {
 		t.Fatal("rewrite of resident register evicted")
-	}
-}
-
-func TestCountBits(t *testing.T) {
-	if countBits(0) != 0 || countBits(0xFFFFFFFF) != 32 || countBits(0x0000FFFF) != 16 {
-		t.Fatal("countBits")
 	}
 }
