@@ -16,9 +16,13 @@
 //
 // Traces are recorded once per (benchmark, scale) by sim record mode and
 // replayed under any number of configurations; replayed results are
-// byte-identical to execute-mode results for the same configuration. A
-// decoded Trace is immutable by contract: any number of replays may share
-// one Trace concurrently.
+// byte-identical to execute-mode results for the same configuration. That
+// holds only for launches whose functional behaviour does not depend on the
+// timing configuration, so record mode refuses a launch that races on
+// global memory (sim.ErrUntraceable): one warp loading a cell another warp
+// stores, or atomics and plain accesses meeting on a cell. A decoded Trace
+// is immutable by contract: any number of replays may share one Trace
+// concurrently.
 package exectrace
 
 import (

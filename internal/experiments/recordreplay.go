@@ -13,12 +13,15 @@ import (
 )
 
 // The record/replay job path. The functional behaviour of a benchmark is
-// configuration-independent, so a sweep of N configurations over one
+// configuration-independent unless the kernel races on global memory — one
+// warp loads a cell another warp stores, or atomics and plain accesses meet
+// on a cell — and the recorder refuses exactly those launches with
+// sim.ErrUntraceable. So a sweep of N configurations over a traceable
 // benchmark only needs the functional front-end once: the first job records
 // an exectrace launch while producing its own (byte-identical to execute)
 // result, and the other N-1 jobs drive the timing back-end by replaying the
 // trace — skipping instruction execution, memory traffic and the output
-// check entirely.
+// check entirely. An untraceable benchmark executes every configuration.
 
 // defaultTraceBudget bounds the resident decoded-trace cache; least
 // recently used benchmarks are evicted past it (store.Tracker's policy, so

@@ -13,7 +13,7 @@ import (
 // issued) and owns fixed-size buffers for the coalesced segment list, so the
 // per-instruction path performs no heap allocation.
 //
-// dstVals points at the written vector instead of holding a copy: the
+// dstVals points at the written vector, so issuing copies no value: the
 // warp's own storage for the destination register (which the scoreboard
 // keeps from every other reader and writer until the write commits), or in
 // replay mode the trace's immutable value vector.

@@ -72,9 +72,11 @@ type inflight struct {
 // An instruction is stepped only once it is due (DESIGN.md §20). Before
 // that it sits in a wait that nothing else can shorten — a latency, or a
 // full memory pipe whose room other issues only push later — so its step
-// would change nothing but report its due cycle to the sleep minimum; the
-// skip reports it instead. The instructions that are stepped are stepped
-// in issue order, so every arbitration and counter is as before.
+// would change nothing. The skip still reports the due cycle to the sleep
+// minimum; for a blocked access that may precede a fresh RoomAt, which
+// costs at most an early wake and one more quiet step. The instructions
+// that are stepped are stepped in issue order, so every arbitration and
+// counter is as before.
 func (s *SM) advancePipeline() {
 	n := 0
 	for i, f := range s.inflight {

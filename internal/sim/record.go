@@ -86,10 +86,6 @@ func joinWarp(a, b int32) int32 {
 	return severalWarps
 }
 
-func (u cellUse) join(o cellUse) cellUse {
-	return cellUse{atom: u.atom || o.atom, loader: joinWarp(u.loader, o.loader), storer: joinWarp(u.storer, o.storer)}
-}
-
 // racy reports whether the cell's values depend on the schedule: it is
 // touched both atomically and plainly, or a warp loads it that is not the
 // one warp storing it.
@@ -220,7 +216,8 @@ func (r *recorder) finish() (*exectrace.Launch, error) {
 	merged := make(map[uint32]cellUse)
 	for _, v := range r.views {
 		for addr, use := range v.memUse {
-			merged[addr] = merged[addr].join(use)
+			m := merged[addr]
+			merged[addr] = cellUse{atom: m.atom || use.atom, loader: joinWarp(m.loader, use.loader), storer: joinWarp(m.storer, use.storer)}
 		}
 	}
 	bad, found := uint32(0), false

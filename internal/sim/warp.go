@@ -24,8 +24,8 @@ const (
 )
 
 // Warp is one resident warp: functional register state plus SIMT control.
-// The fields the per-cycle issue scan reads lead, so they share a cache
-// line.
+// Its state and the fields the per-cycle issue scan reads lead, so they
+// share a cache line.
 type Warp struct {
 	state warpState
 	age   uint64

@@ -176,8 +176,9 @@ type TraceMeta = exectrace.Meta
 type TraceLaunch = exectrace.Launch
 
 // ErrUntraceable rejects recording a launch whose replayed value streams
-// would be schedule-dependent (atomic and non-atomic access to the same
-// global address). Such launches must run in execute mode.
+// would be schedule-dependent: a global address accessed both atomically
+// and non-atomically, or loaded by one warp and stored by another. Such
+// launches must run in execute mode.
 var ErrUntraceable = sim.ErrUntraceable
 
 // WriteTrace serializes a trace in the TraceSchema wire format.
