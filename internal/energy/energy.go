@@ -89,23 +89,26 @@ func (p Params) BankLeakPJPerCycle() float64 {
 	return p.BankLeakMW * 1e-3 / p.ClockHz * 1e12
 }
 
-// Events are the energy-relevant counts a simulation produces.
+// Events are the energy-relevant counts a simulation produces. The json
+// tags are the energy_events object of the warped.sim.result/v1 document.
 type Events struct {
-	BankAccesses uint64 // 16-byte bank row reads + writes
-	WireBeats    uint64 // 128-bit transfers between banks and collectors
-	CompActs     uint64 // compressor activations
-	DecompActs   uint64 // decompressor activations
-	RFCAccesses  uint64 // register file cache accesses (abl4-rfc comparator)
-	RFCKB        int    // total RFC capacity (leakage), summed over SMs
-	// SharedBankAccesses counts shared-memory bank row activations (the
-	// bank model's distinct-word fetches, mem.AnalyzeShared).
-	SharedBankAccesses uint64
+	BankAccesses uint64 `json:"bank_accesses"`            // 16-byte bank row reads + writes
+	WireBeats    uint64 `json:"wire_beats"`               // 128-bit transfers between banks and collectors
+	CompActs     uint64 `json:"compressor_activations"`   // compressor activations
+	DecompActs   uint64 `json:"decompressor_activations"` // decompressor activations
+	RFCAccesses  uint64 `json:"rfc_accesses"`             // register file cache accesses (abl4-rfc comparator)
+	RFCKB        int    `json:"rfc_kb"`                   // total RFC capacity (leakage), summed over SMs
 
-	PoweredBankCycles uint64 // sum over cycles of non-gated bank count
-	DrowsyBankCycles  uint64 // powered cycles spent in the drowsy state
-	Cycles            uint64 // total SM cycles
-	CompUnits         int    // compressor units present (leakage)
-	DecompUnits       int    // decompressor units present
+	PoweredBankCycles uint64 `json:"powered_bank_cycles"` // sum over cycles of non-gated bank count
+	DrowsyBankCycles  uint64 `json:"drowsy_bank_cycles"`  // powered cycles spent in the drowsy state
+	Cycles            uint64 `json:"cycles"`              // total SM cycles
+	CompUnits         int    `json:"compressor_units"`    // compressor units present (leakage)
+	DecompUnits       int    `json:"decompressor_units"`  // decompressor units present
+
+	// SharedBankAccesses counts shared-memory bank row activations (the
+	// bank model's distinct-word fetches, mem.AnalyzeShared). Added within
+	// v1 and omitted when zero.
+	SharedBankAccesses uint64 `json:"shared_bank_accesses,omitempty"`
 }
 
 // Add accumulates ev into e (for summing across SMs). Cycles takes the max:
@@ -118,7 +121,6 @@ func (e *Events) Add(ev Events) {
 	e.DecompActs += ev.DecompActs
 	e.RFCAccesses += ev.RFCAccesses
 	e.RFCKB += ev.RFCKB
-	e.SharedBankAccesses += ev.SharedBankAccesses
 	e.PoweredBankCycles += ev.PoweredBankCycles
 	e.DrowsyBankCycles += ev.DrowsyBankCycles
 	if ev.Cycles > e.Cycles {
@@ -126,6 +128,7 @@ func (e *Events) Add(ev Events) {
 	}
 	e.CompUnits += ev.CompUnits
 	e.DecompUnits += ev.DecompUnits
+	e.SharedBankAccesses += ev.SharedBankAccesses
 }
 
 // Breakdown is register-file energy split the way paper Fig 9 stacks it.

@@ -496,17 +496,19 @@ func (f *File) Finish(now uint64) {
 
 // Stats is a snapshot of the file's counters.
 type Stats struct {
-	BankReads, BankWrites uint64
-	PerBankReads          [NumBanks]uint64
-	PerBankWrites         [NumBanks]uint64
-	PerBankGatedCycles    [NumBanks]uint64
-	PoweredBankCycles     uint64
-	DrowsyBankCycles      uint64
-	Cycles                uint64
-	ReadBeforeWrite       uint64
+	BankReads          uint64           `json:"bank_reads"`
+	BankWrites         uint64           `json:"bank_writes"`
+	PerBankReads       [NumBanks]uint64 `json:"per_bank_reads"`
+	PerBankWrites      [NumBanks]uint64 `json:"per_bank_writes"`
+	PerBankGatedCycles [NumBanks]uint64 `json:"per_bank_gated_cycles"`
+	PoweredBankCycles  uint64           `json:"powered_bank_cycles"`
+	DrowsyBankCycles   uint64           `json:"drowsy_bank_cycles"`
+	Cycles             uint64           `json:"cycles"`
+	ReadBeforeWrite    uint64           `json:"read_before_write"`
 	// RedirectedWrites counts compressed register writes whose bank
 	// placement was steered away from a faulty bank (RRCD redirection).
-	RedirectedWrites uint64
+	// Added within v1 (fault injection) and omitted when zero.
+	RedirectedWrites uint64 `json:"redirected_writes,omitempty"`
 }
 
 // Snapshot returns the current statistics.

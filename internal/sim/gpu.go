@@ -77,11 +77,13 @@ func (g *GPU) Mem() *mem.Global { return g.mem }
 // Config returns the GPU's configuration.
 func (g *GPU) Config() Config { return g.cfg }
 
-// Result is the outcome of one kernel launch.
+// Result is the outcome of one kernel launch. The json tags here and on the
+// counter types it holds name the fields of the warped.sim.result/v1
+// document (resultjson.go).
 type Result struct {
-	Cycles uint64
-	Stats  stats.Stats
-	Energy energy.Events
+	Cycles uint64        `json:"cycles"`
+	Stats  stats.Stats   `json:"stats"`
+	Energy energy.Events `json:"energy_events"`
 }
 
 // cancelCheckInterval is how often (in simulated cycles) the cycle loop
@@ -260,12 +262,12 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 			DecompActs:         st.DecompActs,
 			RFCAccesses:        st.RFCReads + st.RFCWrites,
 			RFCKB:              rfcKB,
-			SharedBankAccesses: st.SharedBankAccesses,
 			PoweredBankCycles:  st.RF.PoweredBankCycles,
 			DrowsyBankCycles:   st.RF.DrowsyBankCycles,
 			Cycles:             cycle,
 			CompUnits:          compUnits,
 			DecompUnits:        decompUnits,
+			SharedBankAccesses: st.SharedBankAccesses,
 		})
 	}
 	return res, nil

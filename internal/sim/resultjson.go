@@ -3,297 +3,46 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/energy"
-	"repro/internal/regfile"
-	"repro/internal/stats"
 )
 
 // ResultSchema is the identifier embedded in every marshaled Result. The
 // suffix is the schema version: it changes only when a field is removed or
 // its meaning changes; adding fields is backward compatible within a
-// version. The field names below are the stable contract — consumers
-// (cmd/warpedreport, BENCH_*.json tooling) must key on them, never on Go
-// struct field names or ordering. The full schema is documented in
-// DESIGN.md §"Result JSON schema".
+// version. The json tags on Result, stats.Stats, regfile.Stats and
+// energy.Events are the stable contract: consumers (cmd/warpedreport,
+// BENCH_*.json tooling) must key on them, never on Go struct field names.
+// The full schema is documented in DESIGN.md §"Result JSON schema".
 const ResultSchema = "warped.sim.result/v1"
 
-// phasePair serializes a per-phase counter pair under stable names.
-type phasePair struct {
-	NonDivergent uint64 `json:"non_divergent"`
-	Divergent    uint64 `json:"divergent"`
+// resultFields is Result without its JSON methods, so encoding/json reads
+// the wire names from the tags.
+type resultFields Result
+
+// resultDoc is the v1 document: the schema identifier, then the tagged
+// fields of Result.
+type resultDoc struct {
+	Schema string `json:"schema"`
+	resultFields
 }
 
-func pair(a [stats.NumPhases]uint64) phasePair {
-	return phasePair{NonDivergent: a[stats.NonDivergent], Divergent: a[stats.Divergent]}
-}
-
-func (p phasePair) array() [stats.NumPhases]uint64 {
-	var a [stats.NumPhases]uint64
-	a[stats.NonDivergent], a[stats.Divergent] = p.NonDivergent, p.Divergent
-	return a
-}
-
-// phaseBins serializes per-phase count vectors (value bins, encodings).
-type phaseBins struct {
-	NonDivergent []uint64 `json:"non_divergent"`
-	Divergent    []uint64 `json:"divergent"`
-}
-
-type regfileJSON struct {
-	BankReads          uint64   `json:"bank_reads"`
-	BankWrites         uint64   `json:"bank_writes"`
-	PerBankReads       []uint64 `json:"per_bank_reads"`
-	PerBankWrites      []uint64 `json:"per_bank_writes"`
-	PerBankGatedCycles []uint64 `json:"per_bank_gated_cycles"`
-	PoweredBankCycles  uint64   `json:"powered_bank_cycles"`
-	DrowsyBankCycles   uint64   `json:"drowsy_bank_cycles"`
-	Cycles             uint64   `json:"cycles"`
-	ReadBeforeWrite    uint64   `json:"read_before_write"`
-	// Added within v1 (fault-injection support); absent in older
-	// documents, which decode as zero.
-	RedirectedWrites uint64 `json:"redirected_writes,omitempty"`
-}
-
-type statsJSON struct {
-	Cycles          uint64 `json:"cycles"`
-	Instructions    uint64 `json:"instructions"`
-	DivergentInstrs uint64 `json:"divergent_instructions"`
-	DummyMovs       uint64 `json:"dummy_movs"`
-
-	WriteBins  phaseBins `json:"write_bins"`
-	BDIChoices []uint64  `json:"bdi_choices"`
-
-	RegWrites      phasePair `json:"reg_writes"`
-	WriteOrigBanks phasePair `json:"write_orig_banks"`
-	WriteCompBanks phasePair `json:"write_comp_banks"`
-	WritesByEnc    phaseBins `json:"writes_by_encoding"`
-
-	CensusSamples    phasePair `json:"census_samples"`
-	CensusCompressed struct {
-		NonDivergent float64 `json:"non_divergent"`
-		Divergent    float64 `json:"divergent"`
-	} `json:"census_compressed"`
-
-	RegFile    regfileJSON `json:"register_file"`
-	CompActs   uint64      `json:"compressor_activations"`
-	DecompActs uint64      `json:"decompressor_activations"`
-
-	RFCReads      uint64 `json:"rfc_reads"`
-	RFCReadMisses uint64 `json:"rfc_read_misses"`
-	RFCWrites     uint64 `json:"rfc_writes"`
-	RFCEvictions  uint64 `json:"rfc_evictions"`
-
-	GlobalTxns   uint64 `json:"global_transactions"`
-	SharedAccess uint64 `json:"shared_accesses"`
-	L1Hits       uint64 `json:"l1_hits"`
-	L1Misses     uint64 `json:"l1_misses"`
-
-	// Shared-memory bank-model counters, added within v1; zero (and
-	// omitted) for workloads that never touch shared memory, so such
-	// documents are byte-identical to pre-bank-model writers.
-	SharedBankAccesses        uint64 `json:"shared_bank_accesses,omitempty"`
-	SharedConflicts           uint64 `json:"shared_conflicts,omitempty"`
-	SharedSerializationCycles uint64 `json:"shared_serialization_cycles,omitempty"`
-	SharedBroadcastHits       uint64 `json:"shared_broadcast_hits,omitempty"`
-
-	StallScoreboard uint64 `json:"stall_scoreboard"`
-	StallCollector  uint64 `json:"stall_collector"`
-	StallCompressor uint64 `json:"stall_compressor"`
-	StallWakeup     uint64 `json:"stall_wakeup"`
-
-	// Fault-injection counters, added within v1; zero (and omitted) when
-	// injection is off, so fault-free documents are byte-identical to
-	// pre-fault writers.
-	FaultStuckWrites    uint64 `json:"fault_stuck_writes,omitempty"`
-	FaultCorruptedLanes uint64 `json:"fault_corrupted_lanes,omitempty"`
-	FaultTransientFlips uint64 `json:"fault_transient_flips,omitempty"`
-}
-
-type energyEventsJSON struct {
-	BankAccesses      uint64 `json:"bank_accesses"`
-	WireBeats         uint64 `json:"wire_beats"`
-	CompActs          uint64 `json:"compressor_activations"`
-	DecompActs        uint64 `json:"decompressor_activations"`
-	RFCAccesses       uint64 `json:"rfc_accesses"`
-	RFCKB             int    `json:"rfc_kb"`
-	PoweredBankCycles uint64 `json:"powered_bank_cycles"`
-	DrowsyBankCycles  uint64 `json:"drowsy_bank_cycles"`
-	Cycles            uint64 `json:"cycles"`
-	CompUnits         int    `json:"compressor_units"`
-	DecompUnits       int    `json:"decompressor_units"`
-	// Added within v1 (shared-memory bank model); omitted when zero.
-	SharedBankAccesses uint64 `json:"shared_bank_accesses,omitempty"`
-}
-
-type resultJSON struct {
-	Schema       string           `json:"schema"`
-	Cycles       uint64           `json:"cycles"`
-	Stats        statsJSON        `json:"stats"`
-	EnergyEvents energyEventsJSON `json:"energy_events"`
-}
-
-// MarshalJSON encodes the Result under the stable, versioned v1 schema
-// (ResultSchema). Field names are part of the public contract and survive
-// internal struct renames.
+// MarshalJSON encodes the Result under the versioned v1 schema
+// (ResultSchema).
 func (r *Result) MarshalJSON() ([]byte, error) {
-	s := &r.Stats
-	sj := statsJSON{
-		Cycles:          s.Cycles,
-		Instructions:    s.Instructions,
-		DivergentInstrs: s.DivergentInstrs,
-		DummyMovs:       s.DummyMovs,
-		WriteBins: phaseBins{
-			NonDivergent: append([]uint64(nil), s.WriteBins[stats.NonDivergent][:]...),
-			Divergent:    append([]uint64(nil), s.WriteBins[stats.Divergent][:]...),
-		},
-		BDIChoices:     append([]uint64(nil), s.BDIChoices[:]...),
-		RegWrites:      pair(s.RegWrites),
-		WriteOrigBanks: pair(s.WriteOrigBanks),
-		WriteCompBanks: pair(s.WriteCompBanks),
-		WritesByEnc: phaseBins{
-			NonDivergent: append([]uint64(nil), s.WritesByEnc[stats.NonDivergent][:]...),
-			Divergent:    append([]uint64(nil), s.WritesByEnc[stats.Divergent][:]...),
-		},
-		CensusSamples: pair(s.CensusSamples),
-		RegFile: regfileJSON{
-			BankReads:          s.RF.BankReads,
-			BankWrites:         s.RF.BankWrites,
-			PerBankReads:       append([]uint64(nil), s.RF.PerBankReads[:]...),
-			PerBankWrites:      append([]uint64(nil), s.RF.PerBankWrites[:]...),
-			PerBankGatedCycles: append([]uint64(nil), s.RF.PerBankGatedCycles[:]...),
-			PoweredBankCycles:  s.RF.PoweredBankCycles,
-			DrowsyBankCycles:   s.RF.DrowsyBankCycles,
-			Cycles:             s.RF.Cycles,
-			ReadBeforeWrite:    s.RF.ReadBeforeWrite,
-			RedirectedWrites:   s.RF.RedirectedWrites,
-		},
-		CompActs:      s.CompActs,
-		DecompActs:    s.DecompActs,
-		RFCReads:      s.RFCReads,
-		RFCReadMisses: s.RFCReadMisses,
-		RFCWrites:     s.RFCWrites,
-		RFCEvictions:  s.RFCEvictions,
-		GlobalTxns:    s.GlobalTxns,
-		SharedAccess:  s.SharedAccess,
-		L1Hits:        s.L1Hits,
-		L1Misses:      s.L1Misses,
-
-		SharedBankAccesses:        s.SharedBankAccesses,
-		SharedConflicts:           s.SharedConflicts,
-		SharedSerializationCycles: s.SharedSerializationCycles,
-		SharedBroadcastHits:       s.SharedBroadcastHits,
-		StallScoreboard:           s.StallScoreboard,
-		StallCollector:            s.StallCollector,
-		StallCompressor:           s.StallCompressor,
-		StallWakeup:               s.StallWakeup,
-
-		FaultStuckWrites:    s.FaultStuckWrites,
-		FaultCorruptedLanes: s.FaultCorruptedLanes,
-		FaultTransientFlips: s.FaultTransientFlips,
-	}
-	sj.CensusCompressed.NonDivergent = s.CensusCompressed[stats.NonDivergent]
-	sj.CensusCompressed.Divergent = s.CensusCompressed[stats.Divergent]
-	return json.Marshal(resultJSON{
-		Schema: ResultSchema,
-		Cycles: r.Cycles,
-		Stats:  sj,
-		EnergyEvents: energyEventsJSON{
-			BankAccesses:       r.Energy.BankAccesses,
-			WireBeats:          r.Energy.WireBeats,
-			CompActs:           r.Energy.CompActs,
-			DecompActs:         r.Energy.DecompActs,
-			RFCAccesses:        r.Energy.RFCAccesses,
-			RFCKB:              r.Energy.RFCKB,
-			PoweredBankCycles:  r.Energy.PoweredBankCycles,
-			DrowsyBankCycles:   r.Energy.DrowsyBankCycles,
-			Cycles:             r.Energy.Cycles,
-			CompUnits:          r.Energy.CompUnits,
-			DecompUnits:        r.Energy.DecompUnits,
-			SharedBankAccesses: r.Energy.SharedBankAccesses,
-		},
-	})
+	return json.Marshal(resultDoc{ResultSchema, resultFields(*r)})
 }
 
-// UnmarshalJSON decodes any v1-schema document produced by MarshalJSON.
+// UnmarshalJSON decodes any v1-schema document and rejects every other
+// schema, leaving r untouched on error. Unknown fields are ignored, and a
+// count array shorter or longer than this build's is zero-filled or
+// truncated, so documents of older and newer v1 writers decode.
 func (r *Result) UnmarshalJSON(data []byte) error {
-	var doc resultJSON
+	var doc resultDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
 	if doc.Schema != ResultSchema {
 		return fmt.Errorf("sim: unsupported result schema %q (want %q)", doc.Schema, ResultSchema)
 	}
-	*r = Result{Cycles: doc.Cycles}
-	sj := &doc.Stats
-	s := &r.Stats
-	s.Cycles = sj.Cycles
-	s.Instructions = sj.Instructions
-	s.DivergentInstrs = sj.DivergentInstrs
-	s.DummyMovs = sj.DummyMovs
-	copyBins(s.WriteBins[stats.NonDivergent][:], sj.WriteBins.NonDivergent)
-	copyBins(s.WriteBins[stats.Divergent][:], sj.WriteBins.Divergent)
-	copyBins(s.BDIChoices[:], sj.BDIChoices)
-	s.RegWrites = sj.RegWrites.array()
-	s.WriteOrigBanks = sj.WriteOrigBanks.array()
-	s.WriteCompBanks = sj.WriteCompBanks.array()
-	copyBins(s.WritesByEnc[stats.NonDivergent][:], sj.WritesByEnc.NonDivergent)
-	copyBins(s.WritesByEnc[stats.Divergent][:], sj.WritesByEnc.Divergent)
-	s.CensusSamples = sj.CensusSamples.array()
-	s.CensusCompressed[stats.NonDivergent] = sj.CensusCompressed.NonDivergent
-	s.CensusCompressed[stats.Divergent] = sj.CensusCompressed.Divergent
-	s.RF = regfile.Stats{
-		BankReads:         sj.RegFile.BankReads,
-		BankWrites:        sj.RegFile.BankWrites,
-		PoweredBankCycles: sj.RegFile.PoweredBankCycles,
-		DrowsyBankCycles:  sj.RegFile.DrowsyBankCycles,
-		Cycles:            sj.RegFile.Cycles,
-		ReadBeforeWrite:   sj.RegFile.ReadBeforeWrite,
-		RedirectedWrites:  sj.RegFile.RedirectedWrites,
-	}
-	copyBins(s.RF.PerBankReads[:], sj.RegFile.PerBankReads)
-	copyBins(s.RF.PerBankWrites[:], sj.RegFile.PerBankWrites)
-	copyBins(s.RF.PerBankGatedCycles[:], sj.RegFile.PerBankGatedCycles)
-	s.CompActs = sj.CompActs
-	s.DecompActs = sj.DecompActs
-	s.RFCReads = sj.RFCReads
-	s.RFCReadMisses = sj.RFCReadMisses
-	s.RFCWrites = sj.RFCWrites
-	s.RFCEvictions = sj.RFCEvictions
-	s.GlobalTxns = sj.GlobalTxns
-	s.SharedAccess = sj.SharedAccess
-	s.L1Hits = sj.L1Hits
-	s.L1Misses = sj.L1Misses
-	s.SharedBankAccesses = sj.SharedBankAccesses
-	s.SharedConflicts = sj.SharedConflicts
-	s.SharedSerializationCycles = sj.SharedSerializationCycles
-	s.SharedBroadcastHits = sj.SharedBroadcastHits
-	s.StallScoreboard = sj.StallScoreboard
-	s.StallCollector = sj.StallCollector
-	s.StallCompressor = sj.StallCompressor
-	s.StallWakeup = sj.StallWakeup
-	s.FaultStuckWrites = sj.FaultStuckWrites
-	s.FaultCorruptedLanes = sj.FaultCorruptedLanes
-	s.FaultTransientFlips = sj.FaultTransientFlips
-	r.Energy = energy.Events{
-		BankAccesses:       doc.EnergyEvents.BankAccesses,
-		WireBeats:          doc.EnergyEvents.WireBeats,
-		CompActs:           doc.EnergyEvents.CompActs,
-		DecompActs:         doc.EnergyEvents.DecompActs,
-		RFCAccesses:        doc.EnergyEvents.RFCAccesses,
-		RFCKB:              doc.EnergyEvents.RFCKB,
-		PoweredBankCycles:  doc.EnergyEvents.PoweredBankCycles,
-		DrowsyBankCycles:   doc.EnergyEvents.DrowsyBankCycles,
-		Cycles:             doc.EnergyEvents.Cycles,
-		CompUnits:          doc.EnergyEvents.CompUnits,
-		DecompUnits:        doc.EnergyEvents.DecompUnits,
-		SharedBankAccesses: doc.EnergyEvents.SharedBankAccesses,
-	}
+	*r = Result(doc.resultFields)
 	return nil
-}
-
-// copyBins copies src into dst, tolerating shorter documents (older v1
-// writers) and ignoring surplus entries (newer v1 writers).
-func copyBins(dst []uint64, src []uint64) {
-	copy(dst, src)
 }

@@ -2,7 +2,11 @@
 // the paper is derived.
 package stats
 
-import "repro/internal/regfile"
+import (
+	"encoding/json"
+
+	"repro/internal/regfile"
+)
 
 // Phase indexes the two execution phases the paper separates everywhere:
 // non-divergent (active mask == warp launch mask) and divergent.
@@ -19,6 +23,31 @@ func (p Phase) String() string {
 		return "non-divergent"
 	}
 	return "divergent"
+}
+
+// ByPhase holds one value per Phase. It indexes like the array it is, and
+// encodes in result JSON as {"non_divergent": …, "divergent": …}.
+type ByPhase[T any] [NumPhases]T
+
+type phaseFields[T any] struct {
+	NonDivergent T `json:"non_divergent"`
+	Divergent    T `json:"divergent"`
+}
+
+// MarshalJSON names each phase.
+func (b ByPhase[T]) MarshalJSON() ([]byte, error) {
+	return json.Marshal(phaseFields[T]{b[NonDivergent], b[Divergent]})
+}
+
+// UnmarshalJSON reads the object MarshalJSON writes; a missing phase
+// decodes as zero.
+func (b *ByPhase[T]) UnmarshalJSON(data []byte) error {
+	var f phaseFields[T]
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
+	}
+	*b = ByPhase[T]{f.NonDivergent, f.Divergent}
+	return nil
 }
 
 // Bin is the value-similarity category of a register write (paper Fig 2):
@@ -53,70 +82,74 @@ const NumEncodings = 4
 // pairs of Fig 5 plus "uncompressed".
 const NumExplorerChoices = 8
 
-// Stats aggregates one SM's (or, after Add, one GPU's) counters.
+// Stats aggregates one SM's (or, after Add, one GPU's) counters. The json
+// tags are the stats object of the warped.sim.result/v1 document: a new
+// counter needs its tagged field here and its line in Add, nothing more.
 type Stats struct {
-	Cycles uint64
+	Cycles uint64 `json:"cycles"`
 
 	// Instruction accounting.
-	Instructions    uint64 // warp instructions issued (excluding dummy MOVs)
-	DivergentInstrs uint64 // issued with a partial active mask
-	DummyMovs       uint64 // injected decompress-MOVs (paper §5.2, Fig 11)
+	Instructions    uint64 `json:"instructions"`           // warp instructions issued (excluding dummy MOVs)
+	DivergentInstrs uint64 `json:"divergent_instructions"` // issued with a partial active mask
+	DummyMovs       uint64 `json:"dummy_movs"`             // injected decompress-MOVs (paper §5.2, Fig 11)
 
 	// Register-write characterization (Figs 2 and 5), by phase.
-	WriteBins  [NumPhases][NumBins]uint64
-	BDIChoices [NumExplorerChoices]uint64 // full-BDI best choice per write
+	WriteBins  ByPhase[[NumBins]uint64]   `json:"write_bins"`
+	BDIChoices [NumExplorerChoices]uint64 `json:"bdi_choices"` // full-BDI best choice per write
 
 	// Compression results by phase (Figs 8, 12, 15). Sizes are counted in
 	// 16-byte register banks, the paper's storage granularity (so the
 	// best-case <4,0> ratio is 8, not 32).
-	RegWrites      [NumPhases]uint64
-	WriteOrigBanks [NumPhases]uint64
-	WriteCompBanks [NumPhases]uint64
-	WritesByEnc    [NumPhases][NumEncodings]uint64
+	RegWrites      ByPhase[uint64]               `json:"reg_writes"`
+	WriteOrigBanks ByPhase[uint64]               `json:"write_orig_banks"`
+	WriteCompBanks ByPhase[uint64]               `json:"write_comp_banks"`
+	WritesByEnc    ByPhase[[NumEncodings]uint64] `json:"writes_by_encoding"`
 
 	// Fig 12 census: running sums of compressed/written snapshots taken at
 	// writes in each phase.
-	CensusSamples    [NumPhases]uint64
-	CensusCompressed [NumPhases]float64
+	CensusSamples    ByPhase[uint64]  `json:"census_samples"`
+	CensusCompressed ByPhase[float64] `json:"census_compressed"`
 
 	// Register file and compression hardware events.
-	RF         regfile.Stats
-	CompActs   uint64
-	DecompActs uint64
+	RF         regfile.Stats `json:"register_file"`
+	CompActs   uint64        `json:"compressor_activations"`
+	DecompActs uint64        `json:"decompressor_activations"`
 
 	// Register file cache comparator events (abl4-rfc).
-	RFCReads      uint64 // operand reads served by the RFC
-	RFCReadMisses uint64 // operand reads that fell through to the banks
-	RFCWrites     uint64 // results written into the RFC
-	RFCEvictions  uint64 // dirty evictions written back to the main banks
+	RFCReads      uint64 `json:"rfc_reads"`       // operand reads served by the RFC
+	RFCReadMisses uint64 `json:"rfc_read_misses"` // operand reads that fell through to the banks
+	RFCWrites     uint64 `json:"rfc_writes"`      // results written into the RFC
+	RFCEvictions  uint64 `json:"rfc_evictions"`   // dirty evictions written back to the main banks
 
 	// Memory system.
-	GlobalTxns   uint64
-	SharedAccess uint64
-	L1Hits       uint64
-	L1Misses     uint64
+	GlobalTxns   uint64 `json:"global_transactions"`
+	SharedAccess uint64 `json:"shared_accesses"`
+	L1Hits       uint64 `json:"l1_hits"`
+	L1Misses     uint64 `json:"l1_misses"`
 
 	// Shared-memory bank model (32 banks x 4 B, mem.AnalyzeShared).
 	// SharedAccess above counts warp-level shared instructions; these break
-	// them down at bank granularity.
-	SharedBankAccesses        uint64 // distinct words fetched — bank row activations
-	SharedConflicts           uint64 // warp accesses that needed more than one phase
-	SharedSerializationCycles uint64 // extra phases beyond the first, summed
-	SharedBroadcastHits       uint64 // lane requests served by another lane's fetch
+	// them down at bank granularity. Added within v1 and omitted when zero,
+	// so documents of kernels without shared memory keep their bytes.
+	SharedBankAccesses        uint64 `json:"shared_bank_accesses,omitempty"`        // distinct words fetched — bank row activations
+	SharedConflicts           uint64 `json:"shared_conflicts,omitempty"`            // warp accesses that needed more than one phase
+	SharedSerializationCycles uint64 `json:"shared_serialization_cycles,omitempty"` // extra phases beyond the first, summed
+	SharedBroadcastHits       uint64 `json:"shared_broadcast_hits,omitempty"`       // lane requests served by another lane's fetch
 
 	// Structural stall diagnostics (useful for latency-sweep analysis).
-	StallScoreboard uint64
-	StallCollector  uint64
-	StallCompressor uint64
-	StallWakeup     uint64
+	StallScoreboard uint64 `json:"stall_scoreboard"`
+	StallCollector  uint64 `json:"stall_collector"`
+	StallCompressor uint64 `json:"stall_compressor"`
+	StallWakeup     uint64 `json:"stall_wakeup"`
 
 	// Fault-injection events (internal/faults). Stuck writes are register
 	// writes that touched at least one stuck-at bank; corrupted lanes count
 	// the individual lanes XORed by stuck patterns; transient flips count
-	// soft-error single-bit upsets applied at write-back.
-	FaultStuckWrites    uint64
-	FaultCorruptedLanes uint64
-	FaultTransientFlips uint64
+	// soft-error single-bit upsets applied at write-back. Added within v1
+	// and omitted when zero, so fault-free documents keep their bytes.
+	FaultStuckWrites    uint64 `json:"fault_stuck_writes,omitempty"`
+	FaultCorruptedLanes uint64 `json:"fault_corrupted_lanes,omitempty"`
+	FaultTransientFlips uint64 `json:"fault_transient_flips,omitempty"`
 }
 
 // Add merges another Stats (e.g. a second SM) into s. Cycles takes the max
