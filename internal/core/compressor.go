@@ -9,8 +9,9 @@ import (
 // SchemeRegistryVersion names the compression-backend registry contract.
 // Scheme names registered under schemes/v1 are stable identifiers: they
 // appear in the cfg/v1 configuration signature, in the jobs/server API
-// (compression_scheme) and in exhibit column headers, so renaming or
-// re-meaning a registered scheme requires a registry version bump.
+// (the Compression key of a job's config) and in exhibit column headers,
+// so renaming or re-meaning a registered scheme requires a registry
+// version bump.
 const SchemeRegistryVersion = "schemes/v1"
 
 // DefaultScheme is the compression backend used when a configuration does

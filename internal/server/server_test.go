@@ -219,10 +219,15 @@ func TestSubmitValidation(t *testing.T) {
 		{"invalid config", submitBody(`"MaxWarpsPerSM": -1`)},
 		{"memory pipe below one warp access", submitBody(`"GlobalMaxInflight": 16`)},
 		{"unknown top-level field", `{"benchmark": "zz-srv", "cfg": {}}`},
-		{"negative sm_parallel", `{"benchmark": "zz-srv", "sm_parallel": -2}`},
-		{"unknown compression scheme", `{"benchmark": "zz-srv", "compression_scheme": "zstd"}`},
-		{"dropped compression spelling", `{"benchmark": "zz-srv", "compression_scheme": "warped"}`},
+		{"negative SMParallel", submitBody(`"SMParallel": -2`)},
+		{"unknown compression scheme", submitBody(`"Compression": "zstd"`)},
+		{"dropped compression spelling", submitBody(`"Compression": "warped"`)},
 		{"dropped Mode config key", submitBody(`"Mode": 0`)},
+		// The request-level aliases of config.SMParallel and
+		// config.Compression are gone; an old client gets a 400, never a
+		// silently different job.
+		{"dropped sm_parallel field", `{"benchmark": "zz-srv", "sm_parallel": 2}`},
+		{"dropped compression_scheme field", `{"benchmark": "zz-srv", "compression_scheme": "fpc"}`},
 	}
 	for _, tc := range cases {
 		postJob(t, ts, tc.body, http.StatusBadRequest)
@@ -237,31 +242,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSubmitSMParallel: the additive sm_parallel field pins the shard
-// count for one job; because shard count never changes results, the
-// sharded job must share its signature (and thus cache identity) with an
-// unsharded submission of the same config.
+// TestSubmitSMParallel: config.SMParallel pins the shard count for one
+// job; because shard count never changes results, the sharded job must
+// share its signature (and thus cache identity) with an unsharded
+// submission of the same config.
 func TestSubmitSMParallel(t *testing.T) {
 	_, ts := newServer(t, jobs.Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
-	body := `{"benchmark": "zz-srv", "config": {"NumSMs": 2}, "sm_parallel": 2}`
-	v := postJob(t, ts, body, http.StatusAccepted)
+	v := postJob(t, ts, submitBody(`"SMParallel": 2`), http.StatusAccepted)
 	done := waitJobState(t, ts, v.ID, jobs.StateDone)
 	if done.Result == nil || done.Result.Cycles == 0 {
 		t.Fatalf("sharded job finished without a result: %+v", done)
 	}
 	plain := postJob(t, ts, submitBody(""), http.StatusOK) // cache hit
 	if plain.Signature != done.Signature {
-		t.Fatalf("sm_parallel changed the signature: %q vs %q", done.Signature, plain.Signature)
+		t.Fatalf("SMParallel changed the signature: %q vs %q", done.Signature, plain.Signature)
 	}
 	if plain.Result == nil || plain.Result.Cycles != done.Result.Cycles {
 		t.Fatalf("sharded and unsharded submissions disagree: %+v vs %+v", plain.Result, done.Result)
 	}
 }
 
-// TestSubmitCompressionScheme: the additive compression_scheme field
-// picks a registered backend for one job. Unlike sm_parallel, the scheme
-// changes what the simulation computes, so the job must NOT share its
-// cfg/v1 signature (or cache entry) with a default-scheme submission.
+// TestSubmitCompressionScheme: config.Compression picks a registered
+// backend for one job. Unlike SMParallel, the scheme changes what the
+// simulation computes, so the job must NOT share its cfg/v1 signature (or
+// cache entry) with a default-scheme submission.
 func TestSubmitCompressionScheme(t *testing.T) {
 	mgr := jobs.NewManager(context.Background(), jobs.Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
 	t.Cleanup(mgr.Close)
@@ -270,7 +274,7 @@ func TestSubmitCompressionScheme(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	fpc := postJob(t, ts, `{"benchmark": "zz-srv", "config": {"NumSMs": 2}, "compression_scheme": "fpc"}`, http.StatusAccepted)
+	fpc := postJob(t, ts, submitBody(`"Compression": "fpc"`), http.StatusAccepted)
 	fpcDone := waitJobState(t, ts, fpc.ID, jobs.StateDone)
 	if fpcDone.Result == nil || fpcDone.Result.Cycles == 0 {
 		t.Fatalf("fpc job finished without a result: %+v", fpcDone)
