@@ -198,7 +198,7 @@ func BenchmarkCompressor(b *testing.B) {
 	for i := range w {
 		w[i] = 7
 	}
-	for _, scheme := range warped.CompressionSchemes() {
+	for _, scheme := range core.Schemes() {
 		b.Run(scheme, func(b *testing.B) {
 			comp, err := warped.NewCompressor(scheme)
 			if err != nil {

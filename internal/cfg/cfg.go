@@ -220,13 +220,6 @@ func (g *Graph) computePostDoms() {
 	}
 }
 
-// IPDom returns the immediate post-dominator block index of block b
-// (ExitNode for exit, -1 for unreachable blocks).
-func (g *Graph) IPDom(b int) int { return g.ipdom[b] }
-
-// BlockOf returns the block index containing pc.
-func (g *Graph) BlockOf(pc int) int { return g.blockOf[pc] }
-
 // ReconvPC returns the reconvergence PC for a branch at pc: the first
 // instruction of the branch block's immediate post-dominator, or -1 when
 // control only reconverges at kernel exit.

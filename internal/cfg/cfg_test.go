@@ -151,8 +151,8 @@ Lskip:
 	if len(g.Blocks) != 3 {
 		t.Fatalf("%d blocks, want 3", len(g.Blocks))
 	}
-	if g.BlockOf(0) != 0 || g.BlockOf(3) != 1 || g.BlockOf(4) != 2 {
-		t.Fatalf("block mapping wrong: %d %d %d", g.BlockOf(0), g.BlockOf(3), g.BlockOf(4))
+	if g.blockOf[0] != 0 || g.blockOf[3] != 1 || g.blockOf[4] != 2 {
+		t.Fatalf("block mapping wrong: %d %d %d", g.blockOf[0], g.blockOf[3], g.blockOf[4])
 	}
 }
 

@@ -119,7 +119,7 @@ func TestIPDomAgainstBruteForce(t *testing.T) {
 		nb := len(g.Blocks)
 		exit := nb
 		for b := 0; b < nb; b++ {
-			ip := g.IPDom(b)
+			ip := g.ipdom[b]
 			// Blocks that cannot reach exit have the full set in the
 			// brute-force fixpoint; skip those (no meaningful ipdom).
 			reachesExit := pd[b][exit]

@@ -27,11 +27,9 @@ type EngineConfig struct {
 	// Scale is the workload size benchmarks are built at.
 	Scale kernels.Scale
 	// Retries grants every job this many extra attempts after a transient
-	// failure (TransientError or a watchdog stall).
+	// failure (TransientError or a watchdog stall). The first retry waits
+	// 100ms; each subsequent retry doubles the delay.
 	Retries int
-	// RetryBackoff is the delay before the first retry (default 100ms);
-	// each subsequent retry doubles it.
-	RetryBackoff time.Duration
 	// Watchdog cancels a simulation that issues no new instructions for a
 	// full window; <= 0 disables.
 	Watchdog time.Duration
@@ -88,9 +86,6 @@ func NewEngine(ctx context.Context, cfg EngineConfig) *Engine {
 		traces:      make(map[string]*traceEntry),
 		traceUse:    store.NewTracker(0, defaultTraceBudget),
 		progress:    cfg.Progress,
-	}
-	if cfg.RetryBackoff > 0 {
-		eng.backoff = cfg.RetryBackoff
 	}
 	eng.runJob = eng.runSim
 	if cfg.RecordReplay {

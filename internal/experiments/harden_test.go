@@ -115,7 +115,6 @@ func TestRetryExactCount(t *testing.T) {
 		WithBenchmarks("bfs"),
 		WithParallelism(1),
 		WithRetries(3),
-		WithRetryBackoff(time.Millisecond),
 		WithProgress(func(ev Event) {
 			switch ev.Kind {
 			case EventJobRetry:
@@ -126,6 +125,7 @@ func TestRetryExactCount(t *testing.T) {
 		}))...)
 	attempts, job := flakyJob(2)
 	r.eng.runJob = job
+	r.eng.backoff = time.Millisecond
 	b, _ := kernels.ByName("bfs")
 	res, err := r.eng.run(b, r.config(warped))
 	if err != nil {
@@ -147,10 +147,10 @@ func TestRetryExactCount(t *testing.T) {
 	// Exhausted budget: 1 + retries attempts, then a JobError with the count.
 	r2 := mustNew(t, context.Background(), fastNewOpts(
 		WithBenchmarks("bfs"),
-		WithRetries(2),
-		WithRetryBackoff(time.Millisecond))...)
+		WithRetries(2))...)
 	attempts2, job2 := flakyJob(1 << 30)
 	r2.eng.runJob = job2
+	r2.eng.backoff = time.Millisecond
 	_, err = r2.eng.run(b, r2.config(warped))
 	var je *JobError
 	if !errors.As(err, &je) {
@@ -169,8 +169,8 @@ func TestRetryExactCount(t *testing.T) {
 func TestNoRetryOnDeterministicFailure(t *testing.T) {
 	r := mustNew(t, context.Background(), fastNewOpts(
 		WithBenchmarks("zz-panic"),
-		WithRetries(5),
-		WithRetryBackoff(time.Millisecond))...)
+		WithRetries(5))...)
+	r.eng.backoff = time.Millisecond
 	b, _ := kernels.ByName("zz-panic")
 	_, err := r.eng.run(b, r.config(warped))
 	var je *JobError

@@ -70,12 +70,6 @@ func WithRetries(n int) Option {
 	return func(c *config) { c.Retries = n }
 }
 
-// WithRetryBackoff sets the delay before the first retry (default 100ms);
-// each subsequent retry doubles it.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(c *config) { c.RetryBackoff = d }
-}
-
 // WithWatchdog arms the per-job progress watchdog: a simulation that issues
 // no new instructions for a full window d is canceled and fails with a
 // *StallError (which is transient, so retries apply). d <= 0 (the default)

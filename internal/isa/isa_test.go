@@ -130,15 +130,6 @@ func TestOpcodeTables(t *testing.T) {
 	if OpLdG.Class() != ClassMem || OpBra.Class() != ClassCtrl || OpAdd.Class() != ClassALU || OpFMul.Class() != ClassSFU {
 		t.Error("opcode class table wrong")
 	}
-	if !OpBra.IsBranch() || OpAdd.IsBranch() {
-		t.Error("IsBranch")
-	}
-	if !OpLdG.IsLoad() || !OpLdS.IsLoad() || OpStG.IsLoad() {
-		t.Error("IsLoad")
-	}
-	if !OpStG.IsStore() || !OpStS.IsStore() || OpLdG.IsStore() {
-		t.Error("IsStore")
-	}
 }
 
 func TestSpecialNames(t *testing.T) {

@@ -128,15 +128,6 @@ func (op Opcode) Class() FuncClass {
 	return ClassALU
 }
 
-// IsBranch reports whether the opcode redirects control flow.
-func (op Opcode) IsBranch() bool { return op == OpBra }
-
-// IsLoad reports whether the opcode reads memory into a register.
-func (op Opcode) IsLoad() bool { return op == OpLdG || op == OpLdS }
-
-// IsStore reports whether the opcode writes memory.
-func (op Opcode) IsStore() bool { return op == OpStG || op == OpStS }
-
 // CmpOp is the comparison used by setp.
 type CmpOp uint8
 

@@ -195,21 +195,16 @@ func (j *Job) setTraceRef(ref string) {
 	j.traceRef = ref
 }
 
-// Subscribe returns the job's event history so far and, when the job is
-// still live, a channel delivering subsequent events (closed when the job
-// finishes). A finished job returns a nil channel. cancel releases the
-// subscription; it is safe to call multiple times and after the close.
-// Slow subscribers do not block the engine: each channel is buffered and
-// events beyond the buffer are dropped for that subscriber (the full
-// history remains available via a fresh Subscribe or the job view).
-func (j *Job) Subscribe() (replay []Event, ch <-chan Event, cancel func()) {
-	return j.SubscribeFrom(-1)
-}
-
-// SubscribeFrom is Subscribe resuming after a known event: the replay
-// holds only events with Seq > after (pass -1 for the full history). It is
-// the Last-Event-ID primitive: a client that saw event N reconnects with
-// after=N and misses nothing, duplicates nothing.
+// SubscribeFrom returns the job's events with Seq > after (pass -1 for the
+// full history) and, when the job is still live, a channel delivering
+// subsequent events (closed when the job finishes). A finished job returns
+// a nil channel. cancel releases the subscription; it is safe to call
+// multiple times and after the close. Slow subscribers do not block the
+// engine: each channel is buffered and events beyond the buffer are
+// dropped for that subscriber (the full history remains available via a
+// fresh subscription or the job view). It is the Last-Event-ID primitive:
+// a client that saw event N reconnects with after=N and misses nothing,
+// duplicates nothing.
 func (j *Job) SubscribeFrom(after int) (replay []Event, ch <-chan Event, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -585,12 +580,6 @@ type Request struct {
 	// the server (ResolveAPIKey). Empty means the anonymous tenant: the
 	// implicit default in single-tenant mode, the keyless tenant otherwise.
 	Tenant string
-}
-
-// Submit validates and admits one execute-mode simulation job. It is
-// SubmitRequest with the classic two-argument signature.
-func (m *Manager) Submit(benchmark string, cfg sim.Config) (*Job, error) {
-	return m.SubmitRequest(Request{Benchmark: benchmark, Config: cfg})
 }
 
 // SubmitRequest validates and admits one job. It returns the job

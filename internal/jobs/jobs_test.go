@@ -66,7 +66,7 @@ func testConfig() sim.Config {
 // waitDone blocks until the job finishes, via its event stream.
 func waitDone(t *testing.T, j *jobs.Job) *sim.Result {
 	t.Helper()
-	_, ch, cancel := j.Subscribe()
+	_, ch, cancel := j.SubscribeFrom(-1)
 	defer cancel()
 	if ch != nil {
 		timeout := time.After(60 * time.Second)
@@ -113,7 +113,7 @@ func newManager(t *testing.T, cfg jobs.Config) *jobs.Manager {
 // stream in order and a well-formed view.
 func TestSubmitRoundTrip(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8})
-	j, err := m.Submit("zz-hold", testConfig())
+	j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 	if v.Started == nil || v.Finished == nil {
 		t.Fatalf("missing timestamps: %+v", v)
 	}
-	replay, ch, _ := j.Subscribe()
+	replay, ch, _ := j.SubscribeFrom(-1)
 	if ch != nil {
 		t.Fatal("finished job returned a live channel")
 	}
@@ -151,12 +151,12 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 4, QueueDepth: 8, CacheSize: 8})
 	cfg := testConfig()
 
-	j1, err := m.Submit("zz-hold", cfg)
+	j1, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, jobs.StateRunning) // in flight, held at the gate
-	j2, err := m.Submit("zz-hold", cfg)
+	j2, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 	}
 
 	// Third submission: identical signature, served from the result cache.
-	j3, err := m.Submit("zz-hold", cfg)
+	j3, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +209,15 @@ func TestQueueFullRejection(t *testing.T) {
 		c.CompressLatency = lat
 		return c
 	}
-	j1, err := m.Submit("zz-hold", cfgAt(1))
+	j1, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfgAt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, j1, jobs.StateRunning) // occupies the only worker
-	if _, err := m.Submit("zz-hold", cfgAt(2)); err != nil {
+	if _, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfgAt(2)}); err != nil {
 		t.Fatalf("queue slot submit: %v", err)
 	}
-	_, err = m.Submit("zz-hold", cfgAt(3))
+	_, err = m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfgAt(3)})
 	if !errors.Is(err, jobs.ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
@@ -233,7 +233,7 @@ func TestQueueFullRejection(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	release := gate(t)
 	m := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8})
-	j, err := m.Submit("zz-hold", testConfig())
+	j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestGracefulDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := m.Submit("zz-hold", testConfig()); !errors.Is(err, jobs.ErrDraining) {
+	if _, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()}); !errors.Is(err, jobs.ErrDraining) {
 		t.Fatalf("submit during drain: err = %v, want ErrDraining", err)
 	}
 
@@ -274,7 +274,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestDrainDeadline(t *testing.T) {
 	release := gate(t)
 	m := newManager(t, jobs.Config{Workers: 1, QueueDepth: 4})
-	j, err := m.Submit("zz-hold", testConfig())
+	j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +292,13 @@ func TestDrainDeadline(t *testing.T) {
 func TestBadSubmissions(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 1, QueueDepth: 1})
 	var ube *jobs.UnknownBenchmarkError
-	if _, err := m.Submit("no-such-kernel", testConfig()); !errors.As(err, &ube) {
+	if _, err := m.SubmitRequest(jobs.Request{Benchmark: "no-such-kernel", Config: testConfig()}); !errors.As(err, &ube) {
 		t.Fatalf("err = %v, want *UnknownBenchmarkError", err)
 	}
 	bad := testConfig()
 	bad.NumSMs = -1
 	var ce *sim.ConfigError
-	if _, err := m.Submit("zz-hold", bad); !errors.As(err, &ce) {
+	if _, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: bad}); !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *sim.ConfigError", err)
 	}
 	if st := m.Stats(); st.Submitted != 0 {
@@ -314,7 +314,7 @@ func TestJobRetention(t *testing.T) {
 	for lat := 1; lat <= 5; lat++ {
 		c := testConfig()
 		c.CompressLatency = lat
-		j, err := m.Submit("zz-hold", c)
+		j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,12 +349,12 @@ func TestConcurrentClients(t *testing.T) {
 			for n := 0; n < perClient; n++ {
 				c := testConfig()
 				c.CompressLatency = 1 + (i+n)%3
-				j, err := m.Submit("zz-hold", c)
+				j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: c})
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				_, ch, cancel := j.Subscribe()
+				_, ch, cancel := j.SubscribeFrom(-1)
 				if ch != nil {
 					for range ch {
 					}

@@ -48,7 +48,7 @@ func countersOf(s jobs.Stats) lookupCounters {
 func eventKinds(t *testing.T, j *jobs.Job) []string {
 	t.Helper()
 	waitDone(t, j)
-	events, _, cancel := j.Subscribe()
+	events, _, cancel := j.SubscribeFrom(-1)
 	cancel()
 	kinds := make([]string, len(events))
 	for i, ev := range events {

@@ -16,7 +16,7 @@ func TestCacheEvictionCounter(t *testing.T) {
 	for latency := 1; latency <= 3; latency++ {
 		cfg := testConfig()
 		cfg.CompressLatency = latency
-		j, err := m.Submit("zz-hold", cfg)
+		j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestRejectReasonCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfg := testConfig()
 		cfg.CompressLatency = i + 1
-		_, err := m.Submit("zz-hold", cfg)
+		_, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
 		switch i {
 		case 0, 1:
 			if err != nil {
@@ -70,7 +70,7 @@ func TestRejectReasonCounters(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.CompressLatency = 9
-	if _, err := m.Submit("zz-hold", cfg); !errors.Is(err, jobs.ErrDraining) {
+	if _, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg}); !errors.Is(err, jobs.ErrDraining) {
 		t.Fatalf("submit while draining error = %v, want ErrDraining", err)
 	}
 
@@ -104,14 +104,14 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 	release := gate(t)
 	m := jobs.NewManager(context.Background(), jobs.Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
 
-	running, err := m.Submit("zz-hold", testConfig())
+	running, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, running, jobs.StateRunning)
 	queuedCfg := testConfig()
 	queuedCfg.CompressLatency = 7
-	queued, err := m.Submit("zz-hold", queuedCfg)
+	queued, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: queuedCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,13 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 // the events that came later, with contiguous sequence numbers.
 func TestSubscribeFrom(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
-	j, err := m.Submit("zz-hold", testConfig())
+	j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
 
-	full, ch, cancel := j.Subscribe()
+	full, ch, cancel := j.SubscribeFrom(-1)
 	cancel()
 	if ch != nil {
 		t.Fatal("subscription on a finished job must replay only")

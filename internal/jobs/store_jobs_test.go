@@ -39,7 +39,7 @@ func resultFiles(t *testing.T, dir string) []string {
 func TestStoreRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: openStore(t, dir)})
-	j1, err := m1.Submit("zz-hold", testConfig())
+	j1, err := m1.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestStoreRestartServesFromDisk(t *testing.T) {
 	}
 
 	m2 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: openStore(t, dir)})
-	j2, err := m2.Submit("zz-hold", testConfig())
+	j2, err := m2.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j2.State() != jobs.StateDone {
 		t.Fatalf("restarted manager state = %s, want immediate StateDone from the store", j2.State())
 	}
-	replay, _, cancel := j2.Subscribe()
+	replay, _, cancel := j2.SubscribeFrom(-1)
 	cancel()
 	if len(replay) != 1 || replay[0].Kind != "store-hit" {
 		t.Fatalf("event replay = %+v, want a single store-hit", replay)
@@ -89,7 +89,7 @@ func TestStoreRestartServesFromDisk(t *testing.T) {
 func TestStoreCorruptionRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: openStore(t, dir)})
-	j1, err := m1.Submit("zz-hold", testConfig())
+	j1, err := m1.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 
 	m2 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: openStore(t, dir)})
-	j2, err := m2.Submit("zz-hold", testConfig())
+	j2, err := m2.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStoreUndecodableResultQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	m1 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st1})
-	j1, err := m1.Submit("zz-hold", testConfig())
+	j1, err := m1.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestStoreUndecodableResultQuarantined(t *testing.T) {
 	}
 
 	m2 := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st2})
-	j2, err := m2.Submit("zz-hold", testConfig())
+	j2, err := m2.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newManager(t, jobs.Config{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st})
-	j, err := m.Submit("zz-hold", testConfig())
+	j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTraceRefSurvivesRestart(t *testing.T) {
 		t.Fatalf("replay of persisted ref %s under a new config: %v", ref, err)
 	}
 	replayed := waitDone(t, rep2)
-	events, _, cancel := rep2.Subscribe()
+	events, _, cancel := rep2.SubscribeFrom(-1)
 	cancel()
 	simulated := false
 	for _, ev := range events {
@@ -256,7 +256,7 @@ func TestTraceRefSurvivesRestart(t *testing.T) {
 		t.Fatalf("Completed = %d after the new-config replay, want 1", c)
 	}
 	fresh := newManager(t, jobs.Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
-	exe, err := fresh.Submit("zz-hold", cfgNew)
+	exe, err := fresh.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfgNew})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestDrainFlushesInflightPersists(t *testing.T) {
 
 	cfg := sim.DefaultConfig()
 	cfg.NumSMs = 2
-	j, err := m.Submit("zz-hold", cfg)
+	j, err := m.SubmitRequest(Request{Benchmark: "zz-hold", Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

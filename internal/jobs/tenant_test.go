@@ -160,7 +160,7 @@ func TestJobViewTenantField(t *testing.T) {
 	}
 
 	single := newManager(t, jobs.Config{Workers: 1, QueueDepth: 4})
-	js, err := single.Submit("zz-hold", testConfig())
+	js, err := single.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestTierPutDuringDiskProbeWins(t *testing.T) {
 	}
 	done := make(chan submitted, 1)
 	go func() {
-		j, err := m.Submit("zz-hold", cfg)
+		j, err := m.SubmitRequest(Request{Benchmark: "zz-hold", Config: cfg})
 		done <- submitted{j, err}
 	}()
 	select {
@@ -131,7 +131,7 @@ func TestTierPutDuringDiskProbeWins(t *testing.T) {
 	if got, _ := s.job.Result(); got != want {
 		t.Fatalf("served %+v, want the value put during the probe", got)
 	}
-	events, _, cancel := s.job.Subscribe()
+	events, _, cancel := s.job.SubscribeFrom(-1)
 	cancel()
 	if len(events) != 1 || events[0].Kind != "cache-hit" {
 		t.Fatalf("events = %+v, want a single cache-hit", events)

@@ -29,7 +29,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if v.Mode != jobs.ModeRecord || v.TraceRef != ref {
 		t.Fatalf("record view = %+v, want mode=record trace_ref=%s", v, ref)
 	}
-	events, _, _ := rec.Subscribe()
+	events, _, _ := rec.SubscribeFrom(-1)
 	last := events[len(events)-1]
 	if last.Kind != "done" || last.TraceRef != ref {
 		t.Fatalf("terminal event = %+v, want done carrying %s", last, ref)
@@ -57,7 +57,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	// Execute the same configuration on a fresh manager (no shared cache)
 	// and compare serialized results byte for byte.
 	m2 := newManager(t, jobs.Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
-	exe, err := m2.Submit("zz-hold", cfg2)
+	exe, err := m2.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg2})
 	if err != nil {
 		t.Fatal(err)
 	}

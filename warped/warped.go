@@ -87,17 +87,8 @@ func ChooseEncoding(vals *WarpReg) Encoding { return core.ChooseBDI(vals) }
 // hot path. See Config.Compression for selecting one by name.
 type Compressor = core.Compressor
 
-// CompressionSchemes lists the registered backend names in sorted order
-// (bdi, fpc, static).
-func CompressionSchemes() []string { return core.Schemes() }
-
 // NewCompressor builds a fresh instance of a registered backend by name.
 func NewCompressor(name string) (Compressor, error) { return core.NewCompressor(name) }
-
-// SchemeEnergyParams returns DefaultEnergyParams with the compression-unit
-// constants replaced by the named scheme's costs (energy.CostOfScheme); the
-// cmp1-schemes exhibits use it for honest cross-scheme comparisons.
-func SchemeEnergyParams(name string) EnergyParams { return energy.ParamsForScheme(name) }
 
 // --- GPU model ---
 
