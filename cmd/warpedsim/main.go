@@ -9,8 +9,8 @@
 //	warpedsim -asm kernel.s -grid 30 -block 256
 //	warpedsim -bench srad -compare -timeout 5m
 //	warpedsim -bench bfs -inject seed=42,stuck=2,redirect
-//	warpedsim -mode record -bench bfs -trace bfs.trace
-//	warpedsim -mode replay -trace bfs.trace -compression off
+//	warpedsim -mode record -bench mum -trace mum.trace
+//	warpedsim -mode replay -trace mum.trace -compression off
 //
 // -mode selects the run mode: execute (the default full simulation),
 // record (execute once and persist the functional execution as a
