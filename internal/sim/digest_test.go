@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exectrace"
 	"repro/internal/faults"
 	"repro/internal/kernels"
 )
@@ -266,4 +268,61 @@ func replayDigests(b *kernels.Benchmark, want map[string]string) []string {
 		}
 	}
 	return out
+}
+
+// traceDigestPath pins the warped.trace/v1 bytes of every traceable
+// benchmark, one "benchmark sha256" line each.
+var traceDigestPath = filepath.Join("testdata", "trace_digests.txt")
+
+// TestRecordedTraceDigests is the wire oracle over the whole workload
+// suite: every traceable benchmark, recorded at Small scale under the
+// default configuration and serialized with exectrace.Write, must
+// reproduce the SHA-256 pinned in testdata/trace_digests.txt. A change to
+// how traces are recorded or held in memory must leave every line
+// untouched; only a deliberate wire-format change regenerates the table
+// with `go test ./internal/sim -run RecordedTraceDigests -update`.
+func TestRecordedTraceDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records the whole suite; skipped in -short")
+	}
+	var lines []string
+	for _, b := range kernels.All() {
+		if untraceable[b.Name] {
+			continue
+		}
+		c := DefaultConfig()
+		c.MaxCycles = digestMaxCycles
+		g, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := b.Build(g.Mem(), kernels.Small)
+		if err != nil {
+			t.Fatalf("%s: build: %v", b.Name, err)
+		}
+		_, lt, err := g.Record(inst.Launch)
+		if err != nil {
+			t.Fatalf("%s: record: %v", b.Name, err)
+		}
+		var buf bytes.Buffer
+		tr := &exectrace.Trace{Meta: exectrace.Meta{Benchmark: b.Name, Scale: kernels.Small.String()}, Launches: []*exectrace.Launch{lt}}
+		if err := exectrace.Write(&buf, tr); err != nil {
+			t.Fatalf("%s: write: %v", b.Name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		lines = append(lines, b.Name+" "+hex.EncodeToString(sum[:]))
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(traceDigestPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(traceDigestPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got != string(want) {
+		t.Errorf("recorded trace bytes drifted from %s:\n got:\n%s\nwant:\n%s", traceDigestPath, got, want)
+	}
 }
