@@ -121,6 +121,10 @@ type WarpStream struct {
 // self-contained: the kernel image, geometry and parameters travel with the
 // streams, so replay needs neither the benchmark registry nor its input
 // generators.
+//
+// A launch holds its streams in one of two forms. The recorder and Pack
+// produce the resident form (see Stream), which is what trace caches keep
+// and what the replayer reads; Read returns the decoded form, Warps.
 type Launch struct {
 	Kernel *isa.Kernel
 	Grid   isa.Dim3
@@ -134,9 +138,13 @@ type Launch struct {
 	// configuration's own schedule.
 	AtomInit []AtomCell
 
-	// Warps holds one stream per warp of the grid, sorted by
-	// (CTAID, WarpInCTA).
+	// Warps is the decoded form: one stream per warp of the grid, sorted
+	// by (CTAID, WarpInCTA). Nil on a launch in the resident form.
 	Warps []*WarpStream
+
+	// streams is the resident form, in the same order as Warps. Only Seal
+	// and Pack set it, and only on a launch that validated.
+	streams []Stream
 }
 
 // Trace is a full recorded run: one or more launches against one device
@@ -156,9 +164,13 @@ func (t *Trace) MemBytes() int64 {
 	return n
 }
 
-// MemBytes estimates the in-memory footprint of one launch.
+// MemBytes estimates the in-memory footprint of one launch in the form it
+// holds: for a resident launch, the packed bytes and pools of its streams.
 func (l *Launch) MemBytes() int64 {
 	n := int64(len(l.Kernel.Code))*32 + int64(len(l.AtomInit))*8
+	for i := range l.streams {
+		n += l.streams[i].memBytes()
+	}
 	for _, w := range l.Warps {
 		n += int64(len(w.Recs))*16 + int64(len(w.Vals))*int64(core.WarpBytes) +
 			int64(len(w.Segs))*4 + int64(len(w.Atoms))*8 + 64
@@ -170,6 +182,9 @@ func (l *Launch) MemBytes() int64 {
 func (t *Trace) Instructions() uint64 {
 	var n uint64
 	for _, l := range t.Launches {
+		for i := range l.streams {
+			n += uint64(l.streams[i].recs)
+		}
 		for _, w := range l.Warps {
 			n += uint64(len(w.Recs))
 		}
@@ -193,7 +208,24 @@ func (l *Launch) Validate() error {
 	if err := il.Validate(); err != nil {
 		return fmt.Errorf("exectrace: %w", err)
 	}
+	for i := 1; i < len(l.AtomInit); i++ {
+		if l.AtomInit[i].Addr <= l.AtomInit[i-1].Addr {
+			return fmt.Errorf("exectrace: AtomInit not sorted by unique address")
+		}
+	}
 	numCTAs, warpsPerCTA := il.NumCTAs(), il.WarpsPerCTA()
+	if l.streams != nil {
+		if len(l.streams) != numCTAs*warpsPerCTA {
+			return fmt.Errorf("exectrace: %d warp streams for a %d-CTA x %d-warp grid",
+				len(l.streams), numCTAs, warpsPerCTA)
+		}
+		for i := range l.streams {
+			if err := l.streams[i].validate(l.Kernel); err != nil {
+				return fmt.Errorf("exectrace: cta %d warp %d: %w", i/warpsPerCTA, i%warpsPerCTA, err)
+			}
+		}
+		return nil
+	}
 	if len(l.Warps) != numCTAs*warpsPerCTA {
 		return fmt.Errorf("exectrace: %d warp streams for a %d-CTA x %d-warp grid",
 			len(l.Warps), numCTAs, warpsPerCTA)
@@ -211,69 +243,95 @@ func (l *Launch) Validate() error {
 			return fmt.Errorf("exectrace: cta %d warp %d: %w", w.CTAID, w.WarpInCTA, err)
 		}
 	}
-	for i := 1; i < len(l.AtomInit); i++ {
-		if l.AtomInit[i].Addr <= l.AtomInit[i-1].Addr {
-			return fmt.Errorf("exectrace: AtomInit not sorted by unique address")
-		}
-	}
 	return nil
 }
 
 // validate checks one stream's records against the kernel and verifies the
 // side pools are consumed exactly.
 func (w *WarpStream) validate(k *isa.Kernel) error {
-	if len(w.Recs) == 0 {
+	rc := recCheck{k: k}
+	for i := range w.Recs {
+		if err := rc.add(&w.Recs[i]); err != nil {
+			return err
+		}
+	}
+	if err := rc.end(); err != nil {
+		return err
+	}
+	if rc.vals != len(w.Vals) {
+		return fmt.Errorf("value pool holds %d vectors, records reference %d", len(w.Vals), rc.vals)
+	}
+	if rc.segs != len(w.Segs) {
+		return fmt.Errorf("segment pool holds %d entries, records reference %d", len(w.Segs), rc.segs)
+	}
+	if rc.atoms != len(w.Atoms) {
+		return fmt.Errorf("atomic pool holds %d ops, records reference %d", len(w.Atoms), rc.atoms)
+	}
+	return nil
+}
+
+// recCheck checks a stream's records one at a time, in order, and counts
+// the side-pool entries they reference.
+type recCheck struct {
+	k                 *isa.Kernel
+	n                 int
+	last              isa.Opcode
+	vals, segs, atoms int
+}
+
+// add checks the next record.
+func (c *recCheck) add(r *Rec) error {
+	i := c.n
+	c.n++
+	k := c.k
+	if r.PC < 0 || int(r.PC) >= len(k.Code) {
+		return fmt.Errorf("rec %d: pc %d outside code [0,%d)", i, r.PC, len(k.Code))
+	}
+	if r.Flags&^knownFlags != 0 {
+		return fmt.Errorf("rec %d: unknown flags %#x", i, r.Flags)
+	}
+	in := &k.Code[r.PC]
+	c.last = in.Op
+	if r.Flags&FlagWrites != 0 && !in.HasDst() {
+		return fmt.Errorf("rec %d: write flag on %s, which has no destination", i, in)
+	}
+	if r.Flags&FlagVals != 0 {
+		if r.Flags&(FlagWrites|FlagUnchanged) != FlagWrites || in.Op == isa.OpAtomAdd {
+			return fmt.Errorf("rec %d: value payload on a non-writing, unchanged or atomic record", i)
+		}
+		c.vals++
+	}
+	switch in.Op {
+	case isa.OpLdG, isa.OpStG, isa.OpAtomAdd:
+		if int(r.NSegs) > isa.WarpSize {
+			return fmt.Errorf("rec %d: %d segments for a 32-lane warp", i, r.NSegs)
+		}
+		c.segs += int(r.NSegs)
+		if in.Op == isa.OpAtomAdd {
+			c.atoms += bits.OnesCount32(r.Eff)
+		}
+	case isa.OpLdS, isa.OpStS:
+		// NSegs holds the shared bank model's distinct-word count
+		// here; it references no side pool, but can never exceed the
+		// lanes that requested words.
+		if int(r.NSegs) > bits.OnesCount32(r.Eff) {
+			return fmt.Errorf("rec %d: %d shared words for %d active lanes", i, r.NSegs, bits.OnesCount32(r.Eff))
+		}
+	default:
+		if r.NSegs != 0 {
+			return fmt.Errorf("rec %d: segment list on non-global %s", i, in)
+		}
+	}
+	return nil
+}
+
+// end checks what a whole stream owes: at least one record, the last an
+// exit.
+func (c *recCheck) end() error {
+	if c.n == 0 {
 		return fmt.Errorf("empty stream (every warp issues at least exit)")
 	}
-	vals, segs, atoms := 0, 0, 0
-	for i := range w.Recs {
-		r := &w.Recs[i]
-		if r.PC < 0 || int(r.PC) >= len(k.Code) {
-			return fmt.Errorf("rec %d: pc %d outside code [0,%d)", i, r.PC, len(k.Code))
-		}
-		in := &k.Code[r.PC]
-		if r.Flags&FlagWrites != 0 && !in.HasDst() {
-			return fmt.Errorf("rec %d: write flag on %s, which has no destination", i, in)
-		}
-		if r.Flags&FlagVals != 0 {
-			if r.Flags&(FlagWrites|FlagUnchanged) != FlagWrites || in.Op == isa.OpAtomAdd {
-				return fmt.Errorf("rec %d: value payload on a non-writing, unchanged or atomic record", i)
-			}
-			vals++
-		}
-		switch in.Op {
-		case isa.OpLdG, isa.OpStG, isa.OpAtomAdd:
-			if int(r.NSegs) > isa.WarpSize {
-				return fmt.Errorf("rec %d: %d segments for a 32-lane warp", i, r.NSegs)
-			}
-			segs += int(r.NSegs)
-			if in.Op == isa.OpAtomAdd {
-				atoms += bits.OnesCount32(r.Eff)
-			}
-		case isa.OpLdS, isa.OpStS:
-			// NSegs holds the shared bank model's distinct-word count
-			// here; it references no side pool, but can never exceed the
-			// lanes that requested words.
-			if int(r.NSegs) > bits.OnesCount32(r.Eff) {
-				return fmt.Errorf("rec %d: %d shared words for %d active lanes", i, r.NSegs, bits.OnesCount32(r.Eff))
-			}
-		default:
-			if r.NSegs != 0 {
-				return fmt.Errorf("rec %d: segment list on non-global %s", i, in)
-			}
-		}
-	}
-	if vals != len(w.Vals) {
-		return fmt.Errorf("value pool holds %d vectors, records reference %d", len(w.Vals), vals)
-	}
-	if segs != len(w.Segs) {
-		return fmt.Errorf("segment pool holds %d entries, records reference %d", len(w.Segs), segs)
-	}
-	if atoms != len(w.Atoms) {
-		return fmt.Errorf("atomic pool holds %d ops, records reference %d", len(w.Atoms), atoms)
-	}
-	last := &w.Recs[len(w.Recs)-1]
-	if k.Code[last.PC].Op != isa.OpExit {
+	if c.last != isa.OpExit {
 		return fmt.Errorf("stream does not end at an exit instruction")
 	}
 	return nil

@@ -72,13 +72,22 @@ func (e *wireWriter) str(s string) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Write serializes the trace in warped.trace/v1 format. The trace is
-// validated first; a trace that does not validate is never written.
+// Write serializes the trace in warped.trace/v1 format. Every launch is
+// written from the resident form, through a Cursor: a decoded launch is
+// packed first, so a launch that does not validate is never written.
 func Write(w io.Writer, t *Trace) error {
 	t.Meta.Schema = Schema
 	t.Meta.Launches = len(t.Launches)
-	if err := t.Validate(); err != nil {
-		return err
+	if len(t.Launches) == 0 {
+		return fmt.Errorf("exectrace: trace has no launches")
+	}
+	packed := make([]*Launch, len(t.Launches))
+	for i, l := range t.Launches {
+		p, err := Pack(l)
+		if err != nil {
+			return fmt.Errorf("launch %d: %w", i, err)
+		}
+		packed[i] = p
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(Schema + "\n"); err != nil {
@@ -92,7 +101,7 @@ func Write(w io.Writer, t *Trace) error {
 		return err
 	}
 	e := &wireWriter{w: bw}
-	for _, l := range t.Launches {
+	for _, l := range packed {
 		writeLaunch(e, l)
 	}
 	if e.err != nil {
@@ -129,9 +138,10 @@ func writeLaunch(e *wireWriter, l *Launch) {
 		prev = c.Addr
 		e.u32(c.Val)
 	}
-	e.count(len(l.Warps))
-	for _, ws := range l.Warps {
-		writeStream(e, ws)
+	e.count(len(l.streams))
+	warpsPerCTA := isa.Launch{Kernel: k, Grid: l.Grid, Block: l.Block}.WarpsPerCTA()
+	for i := range l.streams {
+		writeStream(e, &l.streams[i], i/warpsPerCTA, i%warpsPerCTA)
 	}
 }
 
@@ -153,38 +163,48 @@ func writeInstr(e *wireWriter, in *isa.Instr) {
 	e.svarint(int64(in.Off))
 }
 
-func writeStream(e *wireWriter, ws *WarpStream) {
-	e.count(ws.CTAID)
-	e.count(ws.WarpInCTA)
-	e.count(len(ws.Recs))
+// writeStream writes one resident stream: its records, then its values,
+// each read back through a Cursor, then its segment and atomic pools.
+func writeStream(e *wireWriter, s *Stream, ctaID, warpInCTA int) {
+	e.count(ctaID)
+	e.count(warpInCTA)
+	e.count(s.recs)
+	var c Cursor
 	prevPC := int64(0)
-	for i := range ws.Recs {
-		r := &ws.Recs[i]
-		e.svarint(int64(r.PC) - prevPC) // streams mostly fall through: delta is usually 1
-		prevPC = int64(r.PC)
-		e.u32(r.Active)
-		e.u32(r.Eff)
-		e.byte(byte(r.Flags))
-		e.byte(r.NSegs)
-		e.uvarint(uint64(r.Deg))
+	vals := 0
+	for c.Reset(s); !c.Done(); c.Next() {
+		e.svarint(int64(c.PC) - prevPC) // streams mostly fall through: delta is usually 1
+		prevPC = int64(c.PC)
+		e.u32(c.Active)
+		e.u32(c.Eff)
+		e.byte(byte(c.Flags))
+		e.byte(c.NSegs)
+		e.uvarint(uint64(c.Deg))
+		if c.Flags&FlagVals != 0 {
+			vals++
+		}
 	}
-	e.count(len(ws.Vals))
-	for i := range ws.Vals {
-		v := &ws.Vals[i]
+	e.count(vals)
+	var v core.WarpReg
+	for c.Reset(s); !c.Done(); c.Next() {
+		if c.Flags&FlagVals == 0 {
+			continue
+		}
+		c.Value(&v)
 		e.u32(v[0])
 		for lane := 1; lane < len(v); lane++ {
 			e.svarint(int64(int32(v[lane])) - int64(int32(v[lane-1])))
 		}
 	}
-	e.count(len(ws.Segs))
+	e.count(len(s.segs))
 	prevSeg := int64(0)
-	for _, s := range ws.Segs {
-		e.svarint(int64(s) - prevSeg)
-		prevSeg = int64(s)
+	for _, seg := range s.segs {
+		e.svarint(int64(seg) - prevSeg)
+		prevSeg = int64(seg)
 	}
-	e.count(len(ws.Atoms))
+	e.count(len(s.atoms))
 	prevAddr := int64(0)
-	for _, a := range ws.Atoms {
+	for _, a := range s.atoms {
 		e.svarint(int64(a.Addr) - prevAddr)
 		prevAddr = int64(a.Addr)
 		e.u32(a.Add)

@@ -23,11 +23,11 @@ import (
 // trace — skipping instruction execution, memory traffic and the output
 // check entirely. An untraceable benchmark executes every configuration.
 
-// defaultTraceBudget bounds the resident decoded-trace cache; least
-// recently used benchmarks are evicted past it (store.Tracker's policy, so
-// the newest recording stays even when it alone exceeds the budget).
-// Entries currently being waited on stay reachable through their waiters
-// regardless.
+// defaultTraceBudget bounds the resident trace cache, counted in packed
+// bytes (Launch.MemBytes); least recently used benchmarks are evicted past
+// it (store.Tracker's policy, so the newest recording stays even when it
+// alone exceeds the budget). Entries currently being waited on stay
+// reachable through their waiters regardless.
 const defaultTraceBudget int64 = 1 << 30
 
 // traceMirrorInterval is how often a joiner waiting for an in-flight

@@ -133,7 +133,7 @@ func TestLookupCounters(t *testing.T) {
 	drain(m2)
 	check("record then replay from memory", m2, lookupCounters{
 		CacheHits: 1, CacheMisses: 2, CacheEntries: 2,
-		TracesRecorded: 1, TraceEntries: 1, TraceBytes: 288,
+		TracesRecorded: 1, TraceEntries: 1, TraceBytes: 182,
 		StoreEnabled: true, StoreHits: 1, StoreEntries: 3, StoreBytes: 3919, StoreWrites: 3,
 	})
 
@@ -149,7 +149,7 @@ func TestLookupCounters(t *testing.T) {
 	drain(m4)
 	check("replay from disk then trace eviction", m4, lookupCounters{
 		CacheMisses: 1, CacheEntries: 2,
-		TracesRecorded: 1, TraceEvictions: 1, TraceEntries: 1, TraceBytes: 288, TraceEvictedBytes: 288,
+		TracesRecorded: 1, TraceEvictions: 1, TraceEntries: 1, TraceBytes: 182, TraceEvictedBytes: 182,
 		StoreEnabled: true, StoreEntries: 6, StoreBytes: 7838, StoreWrites: 3,
 	})
 }

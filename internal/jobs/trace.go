@@ -58,9 +58,10 @@ func (e *UnknownTraceError) Error() string {
 	return fmt.Sprintf("jobs: unknown trace %q (recorded refs expire oldest-first; re-record)", e.Ref)
 }
 
-// storedTrace is one retained recording: the launch trace plus the
-// benchmark it was recorded from, checked at replay submission so a trace
-// can never be replayed under the wrong benchmark's label.
+// storedTrace is one retained recording: the launch trace, in the
+// resident form, plus the benchmark it was recorded from, checked at
+// replay submission so a trace can never be replayed under the wrong
+// benchmark's label.
 type storedTrace struct {
 	benchmark string
 	launch    *exectrace.Launch
@@ -70,7 +71,8 @@ func (st storedTrace) memBytes() int64 { return st.launch.MemBytes() }
 
 // traceCodec persists a recording as a single-launch warped.trace/v1
 // container, so a future process can replay its ref. A blob that decodes
-// to anything but exactly one launch is rejected (and so quarantined).
+// to anything but exactly one valid launch is rejected (and so
+// quarantined); a valid one is packed into the resident form as it loads.
 func traceCodec(scale kernels.Scale) codec[storedTrace] {
 	return codec[storedTrace]{
 		encode: func(st storedTrace) ([]byte, error) {
@@ -89,7 +91,11 @@ func traceCodec(scale kernels.Scale) codec[storedTrace] {
 			if len(tr.Launches) != 1 {
 				return storedTrace{}, fmt.Errorf("trace blob holds %d launches, want 1", len(tr.Launches))
 			}
-			return storedTrace{benchmark: tr.Meta.Benchmark, launch: tr.Launches[0]}, nil
+			lt, err := exectrace.Pack(tr.Launches[0])
+			if err != nil {
+				return storedTrace{}, err
+			}
+			return storedTrace{benchmark: tr.Meta.Benchmark, launch: lt}, nil
 		},
 	}
 }

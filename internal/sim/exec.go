@@ -14,9 +14,8 @@ import (
 // per-instruction path performs no heap allocation.
 //
 // dstVals points at the written vector, so issuing copies no value: the
-// warp's own storage for the destination register (which the scoreboard
-// keeps from every other reader and writer until the write commits), or in
-// replay mode the trace's immutable value vector.
+// warp's own storage for the destination register, which the scoreboard
+// keeps from every other reader and writer until the write commits.
 type execResult struct {
 	dstVals   *core.WarpReg // merged destination vector (valid when writes)
 	writes    bool          // instruction produces a register write
@@ -84,7 +83,7 @@ func (s *SM) special(w *Warp, sp isa.Special, lane int) uint32 {
 func (s *SM) operand(w *Warp, o isa.Operand, lane int) uint32 {
 	switch o.Kind {
 	case isa.OperandReg:
-		return w.regs[o.Reg][lane]
+		return w.regBuf[o.Reg][lane]
 	case isa.OperandImm:
 		return uint32(o.Imm)
 	case isa.OperandSpecial:
@@ -156,7 +155,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		t.pc++
 
 	case isa.OpSelP:
-		res.dstVals = w.ownReg(in.Dst)
+		res.dstVals = &w.regBuf[in.Dst]
 		psel := w.preds[in.PSrc]
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
@@ -178,7 +177,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		t.pc++
 
 	case isa.OpLdG, isa.OpLdS:
-		res.dstVals = w.ownReg(in.Dst)
+		res.dstVals = &w.regBuf[in.Dst]
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
 				continue
@@ -195,13 +194,13 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 			if err != nil {
 				return fmt.Errorf("%s at pc %d lane %d: %w", in.Op, pc, lane, err)
 			}
-			if rv := s.recv; rv != nil && in.Op == isa.OpLdG {
-				rv.noteGlobal(w, addr, false)
-			}
 			if v != res.dstVals[lane] {
 				res.dstVals[lane] = v
 				changed = true
 			}
+		}
+		if rv := s.recv; rv != nil && in.Op == isa.OpLdG {
+			rv.noteGlobal(w, &res.addrs, eff, false)
 		}
 		res.writes = eff != 0
 		res.unchanged = !changed
@@ -209,7 +208,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		t.pc++
 
 	case isa.OpAtomAdd:
-		res.dstVals = w.ownReg(in.Dst)
+		res.dstVals = &w.regBuf[in.Dst]
 		// Address computation, bounds checks and the trace note happen at
 		// issue in lane order; the read-modify-writes are deferred to the
 		// epoch barrier (SM.resolveAtom), which fills res.dstVals and
@@ -226,9 +225,9 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 				return fmt.Errorf("atom.add at pc %d lane %d: %w", pc, lane, err)
 			}
 			f.atomAdds[lane] = s.operand(w, in.Srcs[1], lane)
-			if rv := s.recv; rv != nil {
-				rv.noteAtom(addr, f.atomAdds[lane])
-			}
+		}
+		if rv := s.recv; rv != nil {
+			rv.noteAtom(&res.addrs, &f.atomAdds, eff)
 		}
 		res.writes = eff != 0
 		if eff == 0 {
@@ -262,15 +261,15 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 			if err != nil {
 				return fmt.Errorf("%s at pc %d lane %d: %w", in.Op, pc, lane, err)
 			}
-			if rv := s.recv; rv != nil && in.Op == isa.OpStG {
-				rv.noteGlobal(w, addr, true)
-			}
+		}
+		if rv := s.recv; rv != nil && in.Op == isa.OpStG {
+			rv.noteGlobal(w, &res.addrs, eff, true)
 		}
 		s.memTiming(res, in.Op == isa.OpStG, eff)
 		t.pc++
 
 	default: // plain ALU/SFU register ops
-		res.dstVals = w.ownReg(in.Dst)
+		res.dstVals = &w.regBuf[in.Dst]
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
 				continue

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/core"
+	"repro/internal/exectrace"
 	"repro/internal/isa"
 	"repro/internal/regfile"
 	"repro/internal/stats"
@@ -46,10 +47,10 @@ type inflight struct {
 	readyAt      uint64 // current stage's completion cycle
 
 	// Deferred-atomic state (shard.go): addends captured at issue for the
-	// epoch barrier to apply, and — in replay mode — the first trace AtomOp
-	// index of this instruction.
+	// epoch barrier to apply, and — in replay mode — this instruction's
+	// recorded per-lane operations.
 	atomAdds [isa.WarpSize]uint32
-	atomIdx  int
+	atoms    []exectrace.AtomOp
 
 	dstID    int
 	dummyDst isa.Reg
@@ -424,7 +425,7 @@ func (s *SM) applyFaults(f *inflight, dst isa.Reg, full bool) {
 	if inj == nil {
 		return
 	}
-	regs := f.w.regs[dst]
+	regs := &f.w.regBuf[dst]
 	stuck := false
 	for _, bb := range f.wbBanks[:f.nWB] {
 		b := int(bb)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/exectrace"
 	"repro/internal/isa"
 )
@@ -27,12 +29,13 @@ var ErrUntraceable = errors.New("sim: launch not traceable: a global address is 
 // its own configuration).
 //
 // Recording is shard-safe by construction: every mutable structure an SM
-// touches at issue lives in that SM's own recView (a CTA — and therefore a
-// warp stream — belongs to exactly one SM), and the shared atomSeen table
-// is written only at the serial epoch barrier.
+// touches at issue lives in that SM's own recView or in the stream writer
+// of a warp resident on it (a CTA — and therefore a warp stream — belongs
+// to exactly one SM), and the shared atomSeen table is written only at the
+// serial epoch barrier.
 type recorder struct {
-	launch      *exectrace.Launch
-	streams     []*exectrace.WarpStream // indexed ctaID*warpsPerCTA + warpInCTA
+	launch      *exectrace.Launch        // header; finish seals the streams into it
+	streams     []exectrace.StreamWriter // indexed ctaID*warpsPerCTA + warpInCTA
 	warpsPerCTA int
 
 	// atomSeen maps each atomically-touched address to the value it held
@@ -44,9 +47,9 @@ type recorder struct {
 	views []*recView // one per SM
 }
 
-// recView is one SM's private slice of the recorder: its aliasing-detection
-// map, its pending-atomic buffer and its issue-time error. Cross-SM
-// aliasing, which no single view can see, is caught by finish.
+// recView is one SM's private slice of the recorder: its race table, its
+// pending-atomic buffer and its issue-time error. Cross-SM races, which no
+// single view can see, are caught by finish.
 type recView struct {
 	r *recorder
 
@@ -54,15 +57,27 @@ type recView struct {
 	// execute; record() flushes them into the issuing warp's stream.
 	pend []exectrace.AtomOp
 
-	// memUse tracks how each global address was touched by this SM, to
-	// detect the program shapes a trace cannot represent: a cell accessed
+	// pages is the race table: how this SM touched each global word, to
+	// detect the program shapes a trace cannot represent — a cell accessed
 	// both atomically and non-atomically, or one warp's plain load racing
 	// another warp's plain store, in the same launch. Either makes the
 	// value stream schedule-dependent, so record refuses it (see
 	// ErrUntraceable) rather than produce a trace that replays wrong.
-	memUse map[uint32]cellUse
-	err    error
+	// Global accesses are word-aligned, so a page holds one cellUse per
+	// word of usePageWords consecutive words, keyed by word index /
+	// usePageWords; last caches the page of the previous access, which
+	// coalesced lanes almost always share.
+	pages   map[uint32]*usePage
+	last    *usePage
+	lastKey uint32
+	err     error
 }
+
+// usePageWords is how many consecutive global words one race-table page
+// covers.
+const usePageWords = 1024
+
+type usePage [usePageWords]cellUse
 
 // cellUse is how one global address was touched during a launch: by an
 // atomic, and by which warps' plain loads and stores. A warp field holds
@@ -84,6 +99,11 @@ func joinWarp(a, b int32) int32 {
 		return a
 	}
 	return severalWarps
+}
+
+// join merges two SMs' uses of one cell.
+func (u cellUse) join(o cellUse) cellUse {
+	return cellUse{atom: u.atom || o.atom, loader: joinWarp(u.loader, o.loader), storer: joinWarp(u.storer, o.storer)}
 }
 
 // racy reports whether the cell's values depend on the schedule: it is
@@ -112,53 +132,63 @@ func newRecorder(l isa.Launch, numSMs int) *recorder {
 		warpsPerCTA: l.WarpsPerCTA(),
 		atomSeen:    make(map[uint32]uint32),
 	}
-	n := l.NumCTAs() * r.warpsPerCTA
-	r.streams = make([]*exectrace.WarpStream, n)
-	for i := range r.streams {
-		r.streams[i] = &exectrace.WarpStream{CTAID: i / r.warpsPerCTA, WarpInCTA: i % r.warpsPerCTA}
-	}
-	r.launch.Warps = r.streams
+	r.streams = make([]exectrace.StreamWriter, l.NumCTAs()*r.warpsPerCTA)
 	r.views = make([]*recView, numSMs)
 	for i := range r.views {
-		r.views[i] = &recView{r: r, memUse: make(map[uint32]cellUse)}
+		r.views[i] = &recView{r: r, pages: make(map[uint32]*usePage)}
 	}
 	return r
 }
 
-// noteAtom is called from inside execute's atomic loop for each executed
-// lane: addr is the target cell, add the addend. The pre-value is not known
-// yet — the epoch barrier registers it into atomSeen when the deferred
-// atomic resolves.
-func (v *recView) noteAtom(addr, add uint32) {
-	u := v.memUse[addr]
-	u.atom = true
-	v.note(addr, u)
-	v.pend = append(v.pend, exectrace.AtomOp{Addr: addr, Add: add})
+// use returns the race-table cell of the word at addr, adding its page on
+// first touch.
+func (v *recView) use(addr uint32) *cellUse {
+	word := addr / 4
+	if key := word / usePageWords; v.last == nil || key != v.lastKey {
+		p := v.pages[key]
+		if p == nil {
+			p = new(usePage)
+			v.pages[key] = p
+		}
+		v.last, v.lastKey = p, key
+	}
+	return &v.last[word%usePageWords]
 }
 
-// noteGlobal is called for each executed lane of warp w's non-atomic
-// global load (store false) or store (store true).
-func (v *recView) noteGlobal(w *Warp, addr uint32, store bool) {
-	u := v.memUse[addr]
+// noteAtom is called once execute has checked every executed lane of an
+// atomic: addrs are the target cells, adds the addends. The pre-values are
+// not known yet — the epoch barrier registers them into atomSeen when the
+// deferred atomic resolves.
+func (v *recView) noteAtom(addrs, adds *[isa.WarpSize]uint32, eff uint32) {
+	for m := eff; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		u := v.use(addrs[lane])
+		u.atom = true
+		v.check(addrs[lane], u)
+		v.pend = append(v.pend, exectrace.AtomOp{Addr: addrs[lane], Add: adds[lane]})
+	}
+}
+
+// noteGlobal is called once execute has performed every executed lane of
+// warp w's non-atomic global load (store false) or store (store true) of
+// addrs.
+func (v *recView) noteGlobal(w *Warp, addrs *[isa.WarpSize]uint32, eff uint32, store bool) {
 	id := int32(w.ctaID*v.r.warpsPerCTA+w.warpInCTA) + 1
-	if store {
-		u.storer = joinWarp(u.storer, id)
-	} else {
-		u.loader = joinWarp(u.loader, id)
-	}
-	v.note(addr, u)
-}
-
-// note stores a cell's updated use and fails the view when it became racy.
-func (v *recView) note(addr uint32, u cellUse) {
-	v.memUse[addr] = u
-	if u.racy() {
-		v.fail(addr)
+	for m := eff; m != 0; m &= m - 1 {
+		addr := addrs[bits.TrailingZeros32(m)]
+		u := v.use(addr)
+		if store {
+			u.storer = joinWarp(u.storer, id)
+		} else {
+			u.loader = joinWarp(u.loader, id)
+		}
+		v.check(addr, u)
 	}
 }
 
-func (v *recView) fail(addr uint32) {
-	if v.err == nil {
+// check fails the view when a cell's use became racy.
+func (v *recView) check(addr uint32, u *cellUse) {
+	if v.err == nil && u.racy() {
 		v.err = fmt.Errorf("%w (address 0x%x)", ErrUntraceable, addr)
 	}
 }
@@ -167,8 +197,9 @@ func (v *recView) fail(addr uint32) {
 // from concurrent shard workers: the stream is keyed by CTA, and a CTA is
 // resident on exactly one SM.
 func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, res *execResult) {
-	ws := v.r.streams[w.ctaID*v.r.warpsPerCTA+w.warpInCTA]
 	rec := exectrace.Rec{PC: pc, Active: active, Eff: eff}
+	var val *core.WarpReg
+	var atoms []exectrace.AtomOp
 	if res.writes {
 		rec.Flags |= exectrace.FlagWrites
 	}
@@ -178,19 +209,20 @@ func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, r
 		// memory, so neither is stored — which also keeps trace bytes
 		// independent of the recording configuration (and lets record()
 		// run at issue, before the epoch barrier resolves the atomic).
-		ws.Atoms = append(ws.Atoms, v.pend...)
+		atoms = v.pend
 	} else if res.writes {
 		if res.unchanged {
 			rec.Flags |= exectrace.FlagUnchanged
 		} else {
 			rec.Flags |= exectrace.FlagVals
-			ws.Vals = append(ws.Vals, *res.dstVals)
+			val = res.dstVals
 		}
 	}
+	var segs []uint32
 	switch in.Op {
 	case isa.OpLdG, isa.OpStG, isa.OpAtomAdd:
 		rec.NSegs = uint8(res.nsegs)
-		ws.Segs = append(ws.Segs, res.segs()...)
+		segs = res.segs()
 		if in.Op == isa.OpAtomAdd {
 			rec.Deg = uint16(res.atomDeg)
 		}
@@ -202,28 +234,41 @@ func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, r
 		// never of the recording configuration.
 		rec.NSegs = uint8(res.sharedWds)
 	}
-	ws.Recs = append(ws.Recs, rec)
+	v.r.streams[w.ctaID*v.r.warpsPerCTA+w.warpInCTA].Append(rec, val, segs, atoms)
 	v.pend = v.pend[:0]
 }
 
-// finish seals the launch: per-SM usage maps are merged to catch cross-SM
-// races — atomic/non-atomic aliasing, or a load and a store by warps on
-// different SMs — invisible to any single view's issue-time check (the
-// lowest racy address is reported so the error is deterministic at every
-// shard count), and the atomic launch-time table is sorted by address so
-// the serialized trace is canonical regardless of discovery order.
+// finish seals the launch: the SMs' race tables are merged, page by page,
+// to catch cross-SM races — atomic/non-atomic aliasing, or a load and a
+// store by warps on different SMs — invisible to any single view's
+// issue-time check (the lowest racy address is reported so the error is
+// deterministic at every shard count); the atomic launch-time table is
+// sorted by address so the serialized trace is canonical regardless of
+// discovery order; and the streams are sealed into the launch, which
+// validates them.
 func (r *recorder) finish() (*exectrace.Launch, error) {
-	merged := make(map[uint32]cellUse)
-	for _, v := range r.views {
-		for addr, use := range v.memUse {
-			m := merged[addr]
-			merged[addr] = cellUse{atom: m.atom || use.atom, loader: joinWarp(m.loader, use.loader), storer: joinWarp(m.storer, use.storer)}
+	merged := r.views[0].pages
+	for _, v := range r.views[1:] {
+		for key, p := range v.pages {
+			m := merged[key]
+			if m == nil {
+				merged[key] = p
+				continue
+			}
+			for i := range m {
+				m[i] = m[i].join(p[i])
+			}
 		}
 	}
 	bad, found := uint32(0), false
-	for addr, use := range merged {
-		if use.racy() && (!found || addr < bad) {
-			bad, found = addr, true
+	for key, p := range merged {
+		for i := range p {
+			if p[i].racy() {
+				if addr := (key*usePageWords + uint32(i)) * 4; !found || addr < bad {
+					bad, found = addr, true
+				}
+				break // the rest of the page lies above
+			}
 		}
 	}
 	if found {
@@ -235,6 +280,9 @@ func (r *recorder) finish() (*exectrace.Launch, error) {
 	}
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Addr < cells[j].Addr })
 	r.launch.AtomInit = cells
+	if err := r.launch.Seal(r.streams); err != nil {
+		return nil, fmt.Errorf("sim: recorded trace failed validation: %w", err)
+	}
 	return r.launch, nil
 }
 
@@ -272,9 +320,6 @@ func (g *GPU) RecordContextBeat(ctx context.Context, l isa.Launch, beat *atomic.
 	lt, err := g.rec.finish()
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := lt.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: recorded trace failed validation: %w", err)
 	}
 	return res, lt, nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // replayRun is the per-run state of a trace-driven simulation: the
-// (immutable, possibly shared) trace launch plus the shadow memory that
-// re-executes atomics in the replay's own issue order.
+// (immutable, possibly shared) resident trace launch plus the shadow memory
+// that re-executes atomics in the replay's own issue order.
 type replayRun struct {
 	launch      *exectrace.Launch
 	warpsPerCTA int
@@ -23,8 +23,8 @@ type replayRun struct {
 	atoms map[uint32]uint32
 }
 
-func (rp *replayRun) stream(ctaID, warpInCTA int) *exectrace.WarpStream {
-	return rp.launch.Warps[ctaID*rp.warpsPerCTA+warpInCTA]
+func (rp *replayRun) stream(ctaID, warpInCTA int) *exectrace.Stream {
+	return rp.launch.Stream(ctaID*rp.warpsPerCTA + warpInCTA)
 }
 
 // Replay drives the timing/compression/energy back-end from a recorded
@@ -32,8 +32,11 @@ func (rp *replayRun) stream(ctaID, warpInCTA int) *exectrace.WarpStream {
 // GPU was built with, the Result is byte-identical to executing the same
 // launch — the determinism oracle in the test suite enforces it.
 //
-// The trace launch is read-only throughout: any number of concurrent
-// replays (each with its own GPU) may share one trace.
+// A launch in the resident form (as Record returns it) replays as is: it
+// was validated when it was sealed. A decoded launch (as exectrace.Read
+// returns it) is validated and packed once, here. The trace launch is
+// read-only throughout: any number of concurrent replays (each with its
+// own GPU) may share one trace.
 func (g *GPU) Replay(lt *exectrace.Launch) (*Result, error) {
 	return g.ReplayContextBeat(context.Background(), lt, nil)
 }
@@ -44,7 +47,8 @@ func (g *GPU) ReplayContextBeat(ctx context.Context, lt *exectrace.Launch, beat 
 	if err := g.traceConfigError(); err != nil {
 		return nil, err
 	}
-	if err := lt.Validate(); err != nil {
+	lt, err := exectrace.Pack(lt)
+	if err != nil {
 		return nil, err
 	}
 	var l isa.Launch
@@ -53,9 +57,9 @@ func (g *GPU) ReplayContextBeat(ctx context.Context, lt *exectrace.Launch, beat 
 	return g.run(ctx, l, beat)
 }
 
-// newReplayRun prepares the per-run replay state of a trace launch, with
-// the shadow atomic memory seeded from its launch-time table, and returns
-// the launch it replays.
+// newReplayRun prepares the per-run replay state of a resident trace
+// launch, with the shadow atomic memory seeded from its launch-time table,
+// and returns the launch it replays.
 func newReplayRun(lt *exectrace.Launch) (*replayRun, isa.Launch) {
 	l := isa.Launch{Kernel: lt.Kernel, Grid: lt.Grid, Block: lt.Block, Params: lt.Params}
 	rp := &replayRun{
@@ -69,19 +73,18 @@ func newReplayRun(lt *exectrace.Launch) (*replayRun, isa.Launch) {
 	return rp, l
 }
 
-// replayStep is the replay-mode counterpart of execute: it advances the
-// warp's trace cursor and reconstructs the functional outcome the timing
-// pipeline needs — register-write vectors from the value pool (or the
-// warp's shadow registers for unchanged writes), memory-timing metadata
+// replayStep is the replay-mode counterpart of execute: it consumes the
+// record at the warp's trace cursor and reconstructs the functional
+// outcome the timing pipeline needs — a changed register value decoded
+// into the warp's own register (where execute would have written it; an
+// unchanged write leaves the register as it is), memory-timing metadata
 // from the record, and atomic old values from the shadow memory. Control
 // flow needs no SIMT stack: the trace already is the resolved lane-exact
 // instruction stream.
 func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 	res := &f.res
-	st := w.rpStream
-	r := &st.Recs[w.rpRec]
-	w.rpRec++
-	eff := r.Eff
+	cur := &w.rp
+	eff := cur.Eff
 
 	switch in.Op {
 	case isa.OpNop, isa.OpBra:
@@ -91,7 +94,7 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 		s.arriveBarrier(w)
 
 	case isa.OpExit:
-		dying := r.Active
+		dying := cur.Active
 		if in.Pred != isa.PredNone {
 			dying = eff
 		}
@@ -102,41 +105,37 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 		// record exists for issue-slot and scoreboard timing only.
 
 	case isa.OpAtomAdd:
-		res.dstVals = w.ownReg(in.Dst)
-		// Cursor advance happens at issue; the shadow-memory
+		res.dstVals = &w.regBuf[in.Dst]
+		// The cursor advances at issue; the shadow-memory
 		// read-modify-writes resolve at the epoch barrier
 		// (SM.resolveReplayAtom) in SM-id order — the same global order
 		// execute mode commits in, so the old-value vectors match. The
 		// shared shadow map is never touched from shard workers.
-		f.atomIdx = w.rpAtom
-		w.rpAtom += bits.OnesCount32(eff)
+		f.atoms = cur.Atoms(bits.OnesCount32(eff))
 		res.writes = eff != 0
 		if eff == 0 {
 			res.unchanged = true
 		} else {
 			s.memLog = append(s.memLog, memOp{atom: f})
 		}
-		s.replayMemAux(st, w, in, r, res)
+		replayMemAux(cur, in, res)
 
 	case isa.OpStG, isa.OpStS:
-		s.replayMemAux(st, w, in, r, res)
+		replayMemAux(cur, in, res)
 
 	default:
 		// Register-writing ops: loads, selp, ALU/SFU.
-		if r.Flags&exectrace.FlagWrites != 0 {
+		if cur.Flags&exectrace.FlagWrites != 0 {
 			res.writes = true
-			if r.Flags&exectrace.FlagVals != 0 {
-				// By reference: the trace is immutable for the run.
-				res.dstVals = &st.Vals[w.rpVal]
-				w.rpVal++
-				w.regs[in.Dst] = res.dstVals
+			res.dstVals = &w.regBuf[in.Dst]
+			if cur.Flags&exectrace.FlagVals != 0 {
+				cur.Value(res.dstVals)
 			} else {
-				res.dstVals = w.regs[in.Dst]
 				res.unchanged = true
 			}
 		}
 		if in.Op == isa.OpLdG || in.Op == isa.OpLdS {
-			s.replayMemAux(st, w, in, r, res)
+			replayMemAux(cur, in, res)
 		}
 	}
 
@@ -144,32 +143,30 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 	// execute mode that is the instant warpExited fires, so replay fires it
 	// on stream exhaustion and the barrier quorum and CTA accounting evolve
 	// identically.
-	if w.rpRec == len(st.Recs) && w.state != warpFinished {
+	if !cur.Next() && w.state != warpFinished {
 		w.state = warpFinished
 		s.warpExited(w)
 	}
 }
 
-// replayMemAux restores the memory-timing metadata of a record: the
-// coalesced segment list for global ops, the conflict degree for shared
-// ops and atomics.
-func (s *SM) replayMemAux(st *exectrace.WarpStream, w *Warp, in *isa.Instr, r *exectrace.Rec, res *execResult) {
+// replayMemAux restores the memory-timing metadata of the cursor's record:
+// the coalesced segment list for global ops, the conflict degree for
+// shared ops and atomics.
+func replayMemAux(cur *exectrace.Cursor, in *isa.Instr, res *execResult) {
 	switch in.Op {
 	case isa.OpLdG, isa.OpStG, isa.OpAtomAdd:
-		res.nsegs = int(r.NSegs)
-		copy(res.segBuf[:res.nsegs], st.Segs[w.rpSeg:w.rpSeg+res.nsegs])
-		w.rpSeg += res.nsegs
+		res.nsegs = copy(res.segBuf[:], cur.Segs(int(cur.NSegs)))
 		if in.Op == isa.OpAtomAdd {
-			res.atomDeg = int(r.Deg)
+			res.atomDeg = int(cur.Deg)
 		}
 	default:
-		res.sharedDeg = int(r.Deg)
+		res.sharedDeg = int(cur.Deg)
 		// Older v1 traces carry no word count for shared ops (NSegs was
 		// always 0 there); they replay with zero bank-level counters while
 		// phases — the timing-relevant part — still come from Deg.
-		res.sharedWds = int(r.NSegs)
+		res.sharedWds = int(cur.NSegs)
 		if res.sharedWds > 0 {
-			res.sharedBc = bits.OnesCount32(r.Eff) - res.sharedWds
+			res.sharedBc = bits.OnesCount32(cur.Eff) - res.sharedWds
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/exectrace"
 	"repro/internal/faults"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
 // Divergent kernel exercising shared memory, a barrier, predication and
@@ -243,6 +244,42 @@ func TestReplaySurvivesWireRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(resultBytes(t, recRes), resultBytes(t, resR)) {
 		t.Fatalf("replay from decoded trace differs from record-mode result")
+	}
+}
+
+// TestResidentTraceHalvesDecoded is the memory guard of the resident
+// form: over the compute-dense kernels the Runner keeps traces of, the
+// packed launches Record returns must take at most half the bytes of the
+// same launches decoded.
+func TestResidentTraceHalvesDecoded(t *testing.T) {
+	var packed, decoded int64
+	for _, name := range []string{"aes", "gemm_block", "gemm_naive", "kmeans", "lud", "pathfinder"} {
+		b, ok := kernels.ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %s", name)
+		}
+		g, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := b.Build(g.Mem(), kernels.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lt, err := g.Record(inst.Launch)
+		if err != nil {
+			t.Fatalf("%s: record: %v", name, err)
+		}
+		tr, err := exectrace.Read(bytes.NewReader(traceBytes(t, lt)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed += lt.MemBytes()
+		decoded += tr.MemBytes()
+	}
+	t.Logf("resident %d bytes, decoded %d", packed, decoded)
+	if packed*2 > decoded {
+		t.Fatalf("resident traces take %d bytes, more than half the %d decoded", packed, decoded)
 	}
 }
 

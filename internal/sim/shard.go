@@ -312,18 +312,17 @@ func (s *SM) resolveAtom(f *inflight) {
 // commits in, so the old-value vectors — and everything downstream of them
 // — match byte-for-byte.
 func (s *SM) resolveReplayAtom(f *inflight) {
-	rp := s.gpu.rp
-	st := f.w.rpStream
-	idx := f.atomIdx
+	shadow := s.gpu.rp.atoms
 	changed := false
+	ops := f.atoms
 	for lane := 0; lane < len(f.res.addrs); lane++ {
 		if f.eff&(1<<lane) == 0 {
 			continue
 		}
-		op := st.Atoms[idx]
-		idx++
-		v := rp.atoms[op.Addr]
-		rp.atoms[op.Addr] = v + op.Add
+		op := ops[0]
+		ops = ops[1:]
+		v := shadow[op.Addr]
+		shadow[op.Addr] = v + op.Add
 		if v != f.res.dstVals[lane] {
 			f.res.dstVals[lane] = v
 			changed = true

@@ -304,7 +304,7 @@ func (s *SM) tryLaunchCTA(ctaID int, cycle uint64) bool {
 		s.ageSeq++
 		w := s.allocWarpObj(slot, ctaSlot, ctaID, wi, live, s.kernel.NumRegs, s.ageSeq)
 		if s.gpu.rp != nil {
-			w.rpStream = s.gpu.rp.stream(ctaID, wi)
+			w.rp.Reset(s.gpu.rp.stream(ctaID, wi))
 		}
 		s.setNext(w)
 		s.warps[slot] = w
@@ -416,10 +416,10 @@ func (s *SM) issueAll() {
 func (s *SM) setNext(w *Warp) {
 	var in *isa.Instr
 	if s.gpu.rp != nil {
-		if w.rpRec >= len(w.rpStream.Recs) {
+		if w.rp.Done() {
 			return
 		}
-		in = &s.kernel.Code[w.rpStream.Recs[w.rpRec].PC]
+		in = &s.kernel.Code[w.rp.PC]
 	} else {
 		t := w.tos()
 		if t == nil {
@@ -478,8 +478,7 @@ func (s *SM) issue(w *Warp) {
 	var active, eff uint32
 	replaying := s.gpu.rp != nil
 	if replaying {
-		r := &w.rpStream.Recs[w.rpRec]
-		pc, active, eff = r.PC, r.Active, r.Eff
+		pc, active, eff = w.rp.PC, w.rp.Active, w.rp.Eff
 	} else {
 		t := w.tos()
 		pc = t.pc

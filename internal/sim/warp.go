@@ -50,12 +50,7 @@ type Warp struct {
 	launchMask uint32 // live (not yet exited) threads
 	stack      []stackEntry
 
-	// regs[r] points at register r's current value vector: the warp's own
-	// storage regBuf[r], or in replay mode a value vector of the immutable
-	// trace (see replayStep). Writers that merge lanes into a register take
-	// its own storage through ownReg.
-	regs   []*core.WarpReg
-	regBuf []core.WarpReg
+	regBuf []core.WarpReg       // register r's current value vector is regBuf[r]
 	preds  [isa.MaxPreds]uint32 // per-predicate lane bitmasks
 
 	inFlight  int  // issued but not retired instructions
@@ -78,14 +73,9 @@ type Warp struct {
 	// classification.
 	encComp core.Compressor
 
-	// Replay front-end state: the warp's recorded stream and its cursors
-	// into the record list and the value/segment/atomic side pools. Nil
-	// and zero outside replay mode.
-	rpStream *exectrace.WarpStream
-	rpRec    int
-	rpVal    int
-	rpSeg    int
-	rpAtom   int
+	// Replay front-end state: the cursor into the warp's recorded stream,
+	// at the record it issues next. Zero outside replay mode.
+	rp exectrace.Cursor
 }
 
 // newWarp builds a fresh warp. The SM reuses retired warp objects through a
@@ -118,10 +108,6 @@ func (w *Warp) reset(slot, ctaSlot, ctaID, warpInCTA int, liveThreads int, numRe
 	} else {
 		w.regBuf = make([]core.WarpReg, numRegs)
 	}
-	w.regs = w.regs[:0]
-	for i := range w.regBuf {
-		w.regs = append(w.regs, &w.regBuf[i])
-	}
 	w.preds = [isa.MaxPreds]uint32{}
 	w.state = warpRunning
 	w.inFlight = 0
@@ -133,8 +119,7 @@ func (w *Warp) reset(slot, ctaSlot, ctaID, warpInCTA int, liveThreads int, numRe
 	w.nextRegs, w.nextPreds, w.nextColl = 0, 0, false
 	w.encValid = 0
 	w.encComp = nil
-	w.rpStream = nil
-	w.rpRec, w.rpVal, w.rpSeg, w.rpAtom = 0, 0, 0, 0
+	w.rp = exectrace.Cursor{}
 }
 
 // tos returns the top SIMT stack entry; nil when the warp has fully exited.
@@ -143,17 +128,6 @@ func (w *Warp) tos() *stackEntry {
 		return nil
 	}
 	return &w.stack[len(w.stack)-1]
-}
-
-// ownReg returns register r's value vector in the warp's own storage,
-// copying the current value there first when it points into a trace.
-func (w *Warp) ownReg(r isa.Reg) *core.WarpReg {
-	own := &w.regBuf[r]
-	if v := w.regs[r]; v != own {
-		*own = *v
-		w.regs[r] = own
-	}
-	return own
 }
 
 // guardMask evaluates an instruction guard over the warp: the subset of
