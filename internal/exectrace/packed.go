@@ -287,11 +287,14 @@ func (c *Cursor) Atoms(n int) []AtomOp {
 
 // Seal validates the streams the writers hold, in (CTA, warp) order,
 // against l's kernel and geometry, and makes them l's resident form. This
-// is the only validation a recorded launch gets: replay trusts it.
+// is the only validation a recorded launch gets: replay trusts it. Seal
+// consumes the writers: each gives up its buffers as its stream is copied
+// out, so sealing never holds a launch's records twice.
 func (l *Launch) Seal(ws []StreamWriter) error {
 	streams := make([]Stream, len(ws))
 	for i := range ws {
 		streams[i] = ws[i].sealed()
+		ws[i] = StreamWriter{}
 	}
 	p := *l
 	p.Warps, p.streams = nil, streams

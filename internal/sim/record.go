@@ -74,8 +74,10 @@ type recView struct {
 }
 
 // usePageWords is how many consecutive global words one race-table page
-// covers.
-const usePageWords = 1024
+// covers: 3 KiB of table per KiB of memory. Smaller pages leave less of a
+// page unused where an SM touches scattered words, and larger ones take
+// more map lookups.
+const usePageWords = 256
 
 type usePage [usePageWords]cellUse
 
