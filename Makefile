@@ -11,8 +11,8 @@ test:
 # verify is the tier-1 gate (see ROADMAP.md): gofmt over every tracked Go
 # file, static analysis, the full test suite under the race detector, and
 # short-budget fuzz passes over the parser-shaped surfaces (assembler, BDI
-# codec, fault injector, the warped.trace/v1 wire reader) plus the
-# record/replay determinism oracle.
+# codec, fault injector, the warped.trace/v1 wire reader, the packed
+# resident trace form) plus the record/replay determinism oracle.
 # The parallel experiment engine is exercised concurrently by its own
 # tests, so -race is load-bearing here, not ceremonial. The second sim
 # pass re-runs the whole package with the SM loop sharded four ways
@@ -29,6 +29,7 @@ verify:
 	$(GO) test -run=^$$ -fuzz=FuzzSchemeRoundTrip -fuzztime=3s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzInjector -fuzztime=3s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzTraceRead -fuzztime=3s ./internal/exectrace
+	$(GO) test -run=^$$ -fuzz=FuzzPackedStream -fuzztime=3s ./internal/exectrace
 	$(GO) test -run=^$$ -fuzz=FuzzRecordReplay -fuzztime=3s ./internal/sim
 	$(GO) test -run=^$$ -fuzz=FuzzStoreRead -fuzztime=3s ./internal/store
 
