@@ -7,6 +7,14 @@
 // tool only adds a machine-readable sibling:
 //
 //	go test -bench . -benchmem | tee bench.txt | benchjson -stamp "$(date -u +%Y%m%dT%H%M%SZ)" > bench.json
+//
+// With -compare it reads two such documents instead and prints, per
+// benchmark and unit, each side's median and median absolute deviation and
+// the ratio of the medians, marking the rows that moved by more than 20%
+// and by more than both deviations. It exits non-zero only when a document
+// cannot be read:
+//
+//	benchjson -compare BENCH_seed.json bench.json
 package main
 
 import (
@@ -55,9 +63,19 @@ type Document struct {
 func main() {
 	stamp := flag.String("stamp", "", "timestamp or label recorded in the document")
 	showVer := flag.Bool("version", false, "print the build identity and exit")
+	cmp := flag.Bool("compare", false, "compare two warped.bench/v1 documents: -compare old.json new.json")
 	flag.Parse()
 	if *showVer {
 		fmt.Println(version.String("benchjson"))
+		return
+	}
+	if *cmp {
+		if flag.NArg() != 2 {
+			fatal("-compare takes two documents: old.json new.json")
+		}
+		if err := compare(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+			fatal("%v", err)
+		}
 		return
 	}
 

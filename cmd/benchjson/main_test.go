@@ -1,6 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +53,79 @@ func TestParse(t *testing.T) {
 
 	if doc.Benchmarks[2].Name != "BenchmarkRegfileAccess/clean" {
 		t.Fatalf("sub-benchmark name mangled: %q", doc.Benchmarks[2].Name)
+	}
+}
+
+// writeDoc stores a warped.bench/v1 document holding one ns/op sample per
+// value of each named benchmark.
+func writeDoc(t *testing.T, schema string, runs map[string][]float64) string {
+	t.Helper()
+	doc := Document{Schema: schema}
+	for name, vals := range runs {
+		for _, v := range vals {
+			doc.Benchmarks = append(doc.Benchmarks, Benchmark{Name: name, Procs: 1, Iterations: 1, Metrics: []Metric{{Value: v, Unit: "ns/op"}}})
+		}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCompare: a row is marked only when its medians sit more than 20%
+// apart and further apart than either side's MAD; only unreadable input
+// is an error.
+func TestCompare(t *testing.T) {
+	old := writeDoc(t, Schema, map[string][]float64{
+		"BenchmarkSteady": {100, 101, 99},
+		"BenchmarkSlower": {100, 102, 98},
+		"BenchmarkNoisy":  {100, 40, 160},
+		"BenchmarkGone":   {5},
+	})
+	cur := writeDoc(t, Schema, map[string][]float64{
+		"BenchmarkSteady": {110, 111, 109},
+		"BenchmarkSlower": {130, 131, 129},
+		"BenchmarkNoisy":  {130, 131, 129},
+		"BenchmarkNew":    {7},
+	})
+	var out strings.Builder
+	if err := compare(&out, old, cur); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "Benchmark") {
+			rows[f[0]] = line
+		}
+	}
+	for name, marked := range map[string]bool{"BenchmarkSteady": false, "BenchmarkSlower": true, "BenchmarkNoisy": false} {
+		line, ok := rows[name]
+		if !ok {
+			t.Fatalf("no row for %s in:\n%s", name, out.String())
+		}
+		if got := strings.HasSuffix(strings.TrimSpace(line), "*"); got != marked {
+			t.Errorf("%s marked %v, want %v: %q", name, got, marked, line)
+		}
+	}
+	if !strings.Contains(rows["BenchmarkSlower"], "1.300") {
+		t.Errorf("ratio of medians missing: %q", rows["BenchmarkSlower"])
+	}
+	if _, ok := rows["BenchmarkGone"]; ok {
+		t.Errorf("a benchmark only the old document holds got a row")
+	}
+	if !strings.Contains(out.String(), "3 pairs in both documents, 1 marked") {
+		t.Errorf("summary line missing:\n%s", out.String())
+	}
+
+	if err := compare(io.Discard, old, filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("a missing document compared without error")
+	}
+	if err := compare(io.Discard, writeDoc(t, "warped.bench/v0", nil), cur); err == nil {
+		t.Error("a document of another schema compared without error")
 	}
 }
