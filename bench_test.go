@@ -138,9 +138,10 @@ func benchConfigSweep(b *testing.B, recordReplay bool) {
 }
 
 // BenchmarkConfigSweepExecute is the execute-every-config reference point
-// for the record/replay speedup (compare with benchstat). On a 2-core Intel
-// Xeon the replay sweep measured ~1.2x faster (73–76 ms vs 59–67 ms per
-// sweep): replay skips the functional front-end, and the cycle-accurate
+// for the record/replay speedup (compare with `benchjson -compare`). On a
+// 2-core Intel Xeon, over six runs of 20 sweeps, the replay sweep measured
+// ~1.28x faster (medians 61.3 ms vs 48.0 ms per sweep, MADs 3.4 and
+// 4.2 ms): replay skips the functional front-end, and the cycle-accurate
 // back-end both modes share dominates (DESIGN.md §15).
 func BenchmarkConfigSweepExecute(b *testing.B) { benchConfigSweep(b, false) }
 

@@ -20,9 +20,12 @@
 // holds only for launches whose functional behaviour does not depend on the
 // timing configuration, so record mode refuses a launch that races on
 // global memory (sim.ErrUntraceable): one warp loading a cell another warp
-// stores, or atomics and plain accesses meeting on a cell. A decoded Trace
-// is immutable by contract: any number of replays may share one Trace
-// concurrently.
+// stores, or atomics and plain accesses meeting on a cell.
+//
+// In memory a launch is held in a packed resident form (see Stream) that
+// the recorder writes and the replayer reads; Read returns the decoded
+// form, and Pack converts it. A Launch, in either form, is immutable by
+// contract: any number of replays may share one concurrently.
 package exectrace
 
 import (
