@@ -217,21 +217,18 @@ func (l *Launch) Validate() error {
 		}
 	}
 	numCTAs, warpsPerCTA := il.NumCTAs(), il.WarpsPerCTA()
+	n := len(l.Warps)
 	if l.streams != nil {
-		if len(l.streams) != numCTAs*warpsPerCTA {
-			return fmt.Errorf("exectrace: %d warp streams for a %d-CTA x %d-warp grid",
-				len(l.streams), numCTAs, warpsPerCTA)
-		}
-		for i := range l.streams {
-			if err := l.streams[i].validate(l.Kernel); err != nil {
-				return fmt.Errorf("exectrace: cta %d warp %d: %w", i/warpsPerCTA, i%warpsPerCTA, err)
-			}
-		}
-		return nil
+		n = len(l.streams)
 	}
-	if len(l.Warps) != numCTAs*warpsPerCTA {
+	if n != numCTAs*warpsPerCTA {
 		return fmt.Errorf("exectrace: %d warp streams for a %d-CTA x %d-warp grid",
-			len(l.Warps), numCTAs, warpsPerCTA)
+			n, numCTAs, warpsPerCTA)
+	}
+	for i := range l.streams {
+		if err := l.streams[i].validate(l.Kernel); err != nil {
+			return fmt.Errorf("exectrace: cta %d warp %d: %w", i/warpsPerCTA, i%warpsPerCTA, err)
+		}
 	}
 	for i, w := range l.Warps {
 		if w == nil {
@@ -258,19 +255,10 @@ func (w *WarpStream) validate(k *isa.Kernel) error {
 			return err
 		}
 	}
-	if err := rc.end(); err != nil {
-		return err
-	}
 	if rc.vals != len(w.Vals) {
 		return fmt.Errorf("value pool holds %d vectors, records reference %d", len(w.Vals), rc.vals)
 	}
-	if rc.segs != len(w.Segs) {
-		return fmt.Errorf("segment pool holds %d entries, records reference %d", len(w.Segs), rc.segs)
-	}
-	if rc.atoms != len(w.Atoms) {
-		return fmt.Errorf("atomic pool holds %d ops, records reference %d", len(w.Atoms), rc.atoms)
-	}
-	return nil
+	return rc.end(len(w.Segs), len(w.Atoms))
 }
 
 // recCheck checks a stream's records one at a time, in order, and counts
@@ -329,13 +317,20 @@ func (c *recCheck) add(r *Rec) error {
 }
 
 // end checks what a whole stream owes: at least one record, the last an
-// exit.
-func (c *recCheck) end() error {
+// exit, and segment and atomic pools of segs and atoms entries that the
+// records consume exactly.
+func (c *recCheck) end(segs, atoms int) error {
 	if c.n == 0 {
 		return fmt.Errorf("empty stream (every warp issues at least exit)")
 	}
 	if c.last != isa.OpExit {
 		return fmt.Errorf("stream does not end at an exit instruction")
+	}
+	if c.segs != segs {
+		return fmt.Errorf("segment pool holds %d entries, records reference %d", segs, c.segs)
+	}
+	if c.atoms != atoms {
+		return fmt.Errorf("atomic pool holds %d ops, records reference %d", atoms, c.atoms)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package exectrace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -349,14 +348,5 @@ func (s *Stream) validate(k *isa.Kernel) error {
 			return err
 		}
 	}
-	if err := rc.end(); err != nil {
-		return err
-	}
-	if rc.segs != len(s.segs) {
-		return fmt.Errorf("segment pool holds %d entries, records reference %d", len(s.segs), rc.segs)
-	}
-	if rc.atoms != len(s.atoms) {
-		return fmt.Errorf("atomic pool holds %d ops, records reference %d", len(s.atoms), rc.atoms)
-	}
-	return nil
+	return rc.end(len(s.segs), len(s.atoms))
 }

@@ -102,7 +102,7 @@ func FuzzRecordReplay(f *testing.F) {
 		// schedule-dependent stream; only its own schedule is compared.
 		for _, in := range k.Code {
 			if in.Op == isa.OpStS {
-				t.Skip("stores to shared memory: not replayed under another configuration")
+				return
 			}
 		}
 		dc := digestConfigs[rows[int(row)%len(rows)]]
