@@ -168,3 +168,49 @@ func TestValidateCatchesStructuralLies(t *testing.T) {
 		}
 	}
 }
+
+// TestSealValidates: Seal is the only check a recorded launch gets before
+// replay trusts it, so it must refuse the structural lies Validate refuses
+// in the decoded form, and leave the launch untouched when it does.
+func TestSealValidates(t *testing.T) {
+	full := uint32(0xFFFFFFFF)
+	var vals core.WarpReg
+	write := Rec{PC: 0, Active: full, Eff: full, Flags: FlagWrites | FlagVals}
+	exit := Rec{PC: 1, Active: full, Eff: full}
+	cases := []struct {
+		name    string
+		recs    []Rec
+		segs    []uint32 // appended with the first record
+		writers int
+		ok      bool
+	}{
+		{"valid", []Rec{write, exit}, nil, 1, true},
+		{"pc out of bounds", []Rec{{PC: 9, Active: full, Eff: full}, exit}, nil, 1, false},
+		{"not ending at exit", []Rec{write}, nil, 1, false},
+		{"empty stream", nil, nil, 1, false},
+		{"segments without a memory op", []Rec{write, exit}, []uint32{128}, 1, false},
+		{"wrong warp count", []Rec{write, exit}, nil, 2, false},
+	}
+	for _, c := range cases {
+		l := *fixtureTrace().Launches[0]
+		l.Warps = nil
+		ws := make([]StreamWriter, c.writers)
+		for i, r := range c.recs {
+			var segs []uint32
+			if i == 0 {
+				segs = c.segs
+			}
+			ws[0].Append(r, &vals, segs, nil)
+		}
+		err := l.Seal(ws)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Seal returned %v, want ok=%v", c.name, err, c.ok)
+		}
+		if !c.ok && l.streams != nil {
+			t.Errorf("%s: a refused Seal left streams on the launch", c.name)
+		}
+		if n := (&Trace{Launches: []*Launch{&l}}).Instructions(); c.ok && n != uint64(len(c.recs)) {
+			t.Errorf("%s: sealed launch holds %d records, want %d", c.name, n, len(c.recs))
+		}
+	}
+}
