@@ -311,12 +311,12 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
-// BenchmarkGPUCycleSharded measures the epoch-barrier cycle loop on the
+// BenchmarkGPUCycleSharded measures the per-cycle-commit SM loop on the
 // full 15-SM device at 1, 4 and 8 SM shards. Results are byte-identical
 // across the sub-benchmarks; only wall clock should move. Compare with
 // benchstat — on a multi-core machine 8 shards should run the cycle loop
 // several times faster than 1. ReportAllocs guards the zero-allocation
-// steady state of the sharded step (commit logs and overlays are pooled).
+// steady state of the sharded step (commit logs are pooled).
 func BenchmarkGPUCycleSharded(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -94,9 +94,10 @@ func main() {
 	)
 	f.Parse()
 
-	// -compression is only the default for submissions that pick none, so
-	// the resolved base config just validates it.
-	ec, _, err := f.Engine(warped.DefaultConfig())
+	// -compression and -sm-parallel are only defaults for submissions that
+	// pick none: the resolved base config validates the first and carries
+	// the second to the job manager.
+	ec, base, err := f.Engine(warped.DefaultConfig())
 	if err != nil {
 		f.Fatalf("%v", err)
 	}
@@ -134,7 +135,7 @@ func main() {
 
 	mgr := jobs.NewManager(context.Background(), jobs.Config{
 		Workers:         ec.Parallelism,
-		SMParallel:      ec.SMParallel,
+		SMParallel:      base.SMParallel,
 		QueueDepth:      *queue,
 		CacheSize:       *cache,
 		RetainJobs:      *retain,

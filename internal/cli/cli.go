@@ -130,8 +130,9 @@ func (f *Flags) Parse() {
 }
 
 // Engine resolves the flags into the engine configuration and the base
-// simulator configuration: base with -compression applied, validated. off
-// is the paper's baseline, so it also turns bank power gating off.
+// simulator configuration: base with -compression and -sm-parallel
+// applied, validated. off is the paper's baseline, so it also turns bank
+// power gating off.
 func (f *Flags) Engine(base sim.Config) (experiments.EngineConfig, sim.Config, error) {
 	scale, err := kernels.ParseScale(f.Scale)
 	if err != nil {
@@ -147,12 +148,12 @@ func (f *Flags) Engine(base sim.Config) (experiments.EngineConfig, sim.Config, e
 	default:
 		base.Compression = f.Compression
 	}
+	base.SMParallel = f.smParallel
 	if err := base.Validate(); err != nil {
 		return experiments.EngineConfig{}, base, err
 	}
 	return experiments.EngineConfig{
 		Parallelism: f.parallel,
-		SMParallel:  f.smParallel,
 		Scale:       scale,
 		Retries:     f.retries,
 		Watchdog:    f.watchdog,
@@ -169,7 +170,6 @@ func (f *Flags) Runner(ctx context.Context, extra ...experiments.Option) (*exper
 	opts := []experiments.Option{
 		experiments.WithScale(ec.Scale),
 		experiments.WithParallelism(ec.Parallelism),
-		experiments.WithSMParallel(ec.SMParallel),
 		experiments.WithRetries(ec.Retries),
 		experiments.WithWatchdog(ec.Watchdog),
 		experiments.WithBaseConfig(base),

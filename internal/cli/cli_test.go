@@ -80,13 +80,16 @@ func TestEngineCompression(t *testing.T) {
 
 func TestEngineConfig(t *testing.T) {
 	f := parse(t, Pool, "-scale", "small", "-parallel", "3", "-sm-parallel", "2", "-retries", "1", "-watchdog", "2m")
-	ec, _, err := f.Engine(sim.DefaultConfig())
+	ec, base, err := f.Engine(sim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := experiments.EngineConfig{Parallelism: 3, SMParallel: 2, Scale: kernels.Small, Retries: 1, Watchdog: 2 * time.Minute}
+	want := experiments.EngineConfig{Parallelism: 3, Scale: kernels.Small, Retries: 1, Watchdog: 2 * time.Minute}
 	if !reflect.DeepEqual(ec, want) {
 		t.Fatalf("got %+v, want %+v", ec, want)
+	}
+	if base.SMParallel != 2 {
+		t.Fatalf("base.SMParallel = %d, want 2", base.SMParallel)
 	}
 }
 

@@ -32,20 +32,17 @@ func ConfigSignature(c *sim.Config) string {
 		// names never share a cache entry, and never alias a valid one.
 		comp.Scheme = "?" + c.Compression
 	}
-	dp, epoch := cmp.Or(c.DivergencePolicy, "uncompressed"), c.SMEpoch
-	if epoch == 1 {
-		epoch = 0
-	}
+	dp := cmp.Or(c.DivergencePolicy, "uncompressed")
 	return ConfigSignatureVersion + ":" +
 		fmt.Sprintf("m%d g%t s%s cl%d dl%d ch%t sm%d w%d cta%d col%d c%d d%d wake%d dp%s",
 			comp.Policy, c.PowerGating, c.Scheduler, c.CompressLatency, c.DecompressLatency,
 			c.CharacterizeWrites, c.NumSMs, c.MaxWarpsPerSM, c.MaxCTAsPerSM, c.Collectors,
 			c.Compressors, c.Decompressors, c.BankWakeupLatency, dp) +
-		fmt.Sprintf(" sch%d alu%d sfu%d gm%d gl%d gi%d sl%d l1%d/%d/%d rfc%d drw%d mc%d ep%d cs%s flt{%s}",
+		fmt.Sprintf(" sch%d alu%d sfu%d gm%d gl%d gi%d sl%d l1%d/%d/%d rfc%d drw%d mc%d ep0 cs%s flt{%s}",
 			c.SchedulersPerSM, c.ALULatency, c.SFULatency,
 			c.GlobalMemBytes, c.GlobalLatency, c.GlobalMaxInflight, c.SharedLatency,
 			c.L1SizeKB, c.L1Ways, c.L1HitLatency,
-			c.RFCEntries, c.DrowsyAfter, c.MaxCycles, epoch,
+			c.RFCEntries, c.DrowsyAfter, c.MaxCycles,
 			comp.Scheme, c.Faults.String())
 }
 
@@ -55,10 +52,14 @@ func ConfigSignature(c *sim.Config) string {
 // sim.Config carried the policy and the backend as two fields. Inserting
 // the cs token did not need a version bump: a cfg/v1 string with the token
 // can never equal one without it, so old persisted keys miss instead of
-// aliasing. Likewise DivergencePolicy "" and SMEpoch 1 run exactly as
-// "uncompressed" and 0 do, so they are signed as those defaults; an old key
-// under the other spelling just misses.
+// aliasing. Likewise DivergencePolicy "" runs exactly as "uncompressed"
+// does, so it is signed as that default.
+//
+// The ep0 token is literal: it signed the sharded SM loop's commit
+// interval, now fixed at one cycle, which it always rendered as ep0.
+// Keeping it keeps every stored key and rendezvous placement valid without
+// a version bump.
 
-// SMParallel is deliberately absent: the epoch-barrier commit protocol makes
+// SMParallel is deliberately absent: the per-cycle commit protocol makes
 // results byte-identical at every shard count (the determinism oracle in
 // internal/sim enforces it), so including it would only fragment the cache.

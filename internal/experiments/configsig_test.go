@@ -74,19 +74,13 @@ func TestConfigSignatureCoversConfig(t *testing.T) {
 		f := typ.Field(i)
 		if f.Name == "SMParallel" {
 			// Exempt by design: shard count never changes results (the
-			// epoch-barrier commit makes them byte-identical at every
+			// per-cycle commit makes them byte-identical at every
 			// SMParallel, enforced by internal/sim's determinism tests), so
 			// covering it would fragment the memo cache for no gain.
 			continue
 		}
 		mod := base
-		field := reflect.ValueOf(&mod).Elem().Field(i)
-		perturb(field)
-		if f.Name == "SMEpoch" {
-			// Epochs 0 and 1 both commit every cycle and share a
-			// signature; 2 is the first epoch that changes timing.
-			field.SetInt(2)
-		}
+		perturb(reflect.ValueOf(&mod).Elem().Field(i))
 		if got := ConfigSignature(&mod); got == want {
 			t.Errorf("changing Config.%s did not change the signature (%q)", f.Name, got)
 		}
@@ -135,10 +129,10 @@ func TestConfigSignatureCompressionScheme(t *testing.T) {
 }
 
 // TestConfigSignatureDefaultSpellings: a config that spells out a default
-// the simulator treats like its zero value (SMEpoch 1 for 0,
-// DivergencePolicy "" for "uncompressed") signs as the default does, so an
-// override that names the default reuses its cache entry instead of
-// simulating again. Each pair really does simulate byte-identically.
+// the simulator treats like its zero value (DivergencePolicy "" for
+// "uncompressed") signs as the default does, so an override that names
+// the default reuses its cache entry instead of simulating again. Each
+// pair really does simulate byte-identically.
 func TestConfigSignatureDefaultSpellings(t *testing.T) {
 	def := sim.DefaultConfig()
 	def.NumSMs = 4
@@ -168,7 +162,6 @@ func TestConfigSignatureDefaultSpellings(t *testing.T) {
 		name string
 		set  func(*sim.Config)
 	}{
-		{"SMEpoch 1", func(c *sim.Config) { c.SMEpoch = 1 }},
 		{`DivergencePolicy ""`, func(c *sim.Config) { c.DivergencePolicy = "" }},
 	} {
 		c := def

@@ -104,12 +104,6 @@ type engine struct {
 	backoff  time.Duration // first retry delay; doubles per attempt
 	watchdog time.Duration // progress deadline; 0 disables the watchdog
 
-	// smParallel is the engine-wide SM shard count applied to configurations
-	// that leave sim.Config.SMParallel at 0. 0 means auto: divide the
-	// machine's cores across the engine's worker slots (see tuneSMParallel),
-	// so job-level and intra-simulation parallelism never oversubscribe.
-	smParallel int
-
 	// memoize keeps completed calls in the single-flight map forever, so a
 	// key simulates at most once per engine lifetime (the Runner's mode:
 	// exhibits share configurations heavily and a suite run is bounded).
@@ -299,18 +293,13 @@ func (e *engine) attempt(job jobFunc) (*sim.Result, error) {
 
 // tuneSMParallel decides the intra-simulation shard count for one job,
 // after the memo signature has been taken (SMParallel is signature-exempt,
-// so tuning never fragments the cache). Precedence: an explicit per-config
-// value wins; then the engine-wide setting; otherwise auto — spread the
-// machine's cores across the engine's worker slots so a fully loaded
-// engine never oversubscribes (at the default parallelism of GOMAXPROCS
-// the auto budget is 1 shard per job; an interactive -parallel 1 run gets
-// every core for its single simulation).
+// so tuning never fragments the cache). An explicit per-config value wins;
+// otherwise auto — spread the machine's cores across the engine's worker
+// slots so a fully loaded engine never oversubscribes (at the default
+// parallelism of GOMAXPROCS the auto budget is 1 shard per job; an
+// interactive -parallel 1 run gets every core for its single simulation).
 func (e *engine) tuneSMParallel(c *sim.Config) {
 	if c.SMParallel != 0 {
-		return
-	}
-	if e.smParallel != 0 {
-		c.SMParallel = e.smParallel
 		return
 	}
 	if n := runtime.GOMAXPROCS(0) / e.parallelism; n > 1 {

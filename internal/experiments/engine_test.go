@@ -62,7 +62,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 // mode — every benchmark, every configuration, at both parallelism
 // extremes.
 func TestRecordReplayMatchesExecute(t *testing.T) {
-	exec := renderAll(t, mustNew(t, context.Background(), fastNewOpts(WithRecordReplay(false), WithParallelism(8))...))
+	execRunner := mustNew(t, context.Background(), fastNewOpts(WithParallelism(8))...)
+	execRunner.eng.runJob = execRunner.eng.runSim // the job function with RecordReplay off
+	exec := renderAll(t, execRunner)
 	for _, par := range []int{1, 8} {
 		rr := renderAll(t, mustNew(t, context.Background(), fastNewOpts(WithParallelism(par))...))
 		if rr != exec {

@@ -17,13 +17,10 @@ import (
 // watchdog, no memoization.
 type EngineConfig struct {
 	// Parallelism bounds concurrent simulations; <= 0 means GOMAXPROCS.
+	// A configuration that leaves sim.Config.SMParallel at 0 gets
+	// GOMAXPROCS divided by Parallelism shards, so the two parallelism
+	// levels never oversubscribe.
 	Parallelism int
-	// SMParallel shards each simulation's per-cycle SM loop across this
-	// many worker goroutines, for configurations that leave
-	// sim.Config.SMParallel at 0. <= 0 means auto: GOMAXPROCS divided by
-	// Parallelism, so the two parallelism levels never oversubscribe.
-	// Results are byte-identical at every shard count.
-	SMParallel int
 	// Scale is the workload size benchmarks are built at.
 	Scale kernels.Scale
 	// Retries grants every job this many extra attempts after a transient
@@ -80,7 +77,6 @@ func NewEngine(ctx context.Context, cfg EngineConfig) *Engine {
 		retries:     max(cfg.Retries, 0),
 		backoff:     100 * time.Millisecond,
 		watchdog:    max(cfg.Watchdog, 0),
-		smParallel:  max(cfg.SMParallel, 0),
 		memoize:     cfg.Memoize,
 		calls:       make(map[string]*call),
 		traces:      make(map[string]*traceEntry),

@@ -46,16 +46,6 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.Parallelism = n }
 }
 
-// WithSMParallel shards every simulation's per-cycle SM loop across n
-// worker goroutines (sim.Config.SMParallel), for configurations that do
-// not pin a shard count themselves. n <= 0 (the default) means auto:
-// divide the machine's cores across the runner's worker slots, so
-// job-level and intra-simulation parallelism never oversubscribe. Results
-// are byte-identical at every shard count.
-func WithSMParallel(n int) Option {
-	return func(c *config) { c.SMParallel = n }
-}
-
 // WithProgress installs a structured progress callback. Events are
 // serialized by the engine, so fn needs no locking. See Event.
 func WithProgress(fn ProgressFunc) Option {
@@ -78,17 +68,6 @@ func WithRetries(n int) Option {
 // nothing, which is exactly what the watchdog exists to catch.
 func WithWatchdog(d time.Duration) Option {
 	return func(c *config) { c.Watchdog = d }
-}
-
-// WithRecordReplay toggles the execute-once / replay-N strategy (default
-// on): the first simulation of each benchmark records its functional
-// execution as a warped.trace/v1 launch, and every other configuration
-// replays that trace into the timing back-end — byte-identical results at a
-// fraction of the cost. Disabling it forces every job through full execute
-// mode; fault-injection configurations and untraceable launches fall back
-// to execute automatically either way.
-func WithRecordReplay(on bool) Option {
-	return func(c *config) { c.RecordReplay = on }
 }
 
 // WithBaseConfig overrides the hardware configuration the experiment

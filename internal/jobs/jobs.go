@@ -315,11 +315,11 @@ type Config struct {
 	// Workers is the worker-pool width and the engine's parallelism;
 	// <= 0 means GOMAXPROCS.
 	Workers int
-	// SMParallel shards each simulation's per-cycle SM loop across this
-	// many goroutines, for submissions that do not pin
-	// sim.Config.SMParallel themselves. <= 0 means auto (GOMAXPROCS
-	// divided by Workers). Results are byte-identical at every shard
-	// count, so this is invisible to the result and trace tiers.
+	// SMParallel is the shard count SubmitRequest writes into every
+	// submission that leaves sim.Config.SMParallel at 0. <= 0 leaves
+	// those at 0, which the engine resolves to GOMAXPROCS divided by
+	// Workers. Results are byte-identical at every shard count, so this
+	// is invisible to the result and trace tiers.
 	SMParallel int
 	// QueueDepth bounds the FIFO admission queue; submissions beyond it
 	// are rejected with ErrQueueFull. <= 0 means 64.
@@ -513,7 +513,6 @@ func NewManager(ctx context.Context, cfg Config) *Manager {
 	}
 	m.eng = experiments.NewEngine(ctx, experiments.EngineConfig{
 		Parallelism: cfg.Workers,
-		SMParallel:  cfg.SMParallel,
 		Scale:       cfg.Scale,
 		Retries:     cfg.Retries,
 		Watchdog:    cfg.Watchdog,
@@ -594,6 +593,9 @@ func (m *Manager) SubmitRequest(req Request) (*Job, error) {
 		return nil, err
 	}
 	cfg := req.Config
+	if cfg.SMParallel == 0 && m.cfg.SMParallel > 0 {
+		cfg.SMParallel = m.cfg.SMParallel
+	}
 
 	m.mu.Lock()
 	draining := m.drainingLocked()

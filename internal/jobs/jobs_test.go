@@ -109,6 +109,25 @@ func newManager(t *testing.T, cfg jobs.Config) *jobs.Manager {
 	return m
 }
 
+// TestSubmitFillsSMParallel: Config.SMParallel becomes the shard count of
+// every submission that leaves its own at 0, visibly on Job.Config; an
+// explicit shard count stands.
+func TestSubmitFillsSMParallel(t *testing.T) {
+	m := newManager(t, jobs.Config{Workers: 1, SMParallel: 3, QueueDepth: 8, CacheSize: 8})
+	for _, tc := range []struct{ submitted, want int }{{0, 3}, {2, 2}} {
+		cfg := testConfig()
+		cfg.SMParallel = tc.submitted
+		j, err := m.SubmitRequest(jobs.Request{Benchmark: "zz-hold", Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Config.SMParallel != tc.want {
+			t.Errorf("submitted SMParallel %d: job runs with %d, want %d", tc.submitted, j.Config.SMParallel, tc.want)
+		}
+		waitDone(t, j)
+	}
+}
+
 // TestSubmitRoundTrip: submit → run → done, with the lifecycle event
 // stream in order and a well-formed view.
 func TestSubmitRoundTrip(t *testing.T) {

@@ -223,6 +223,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown compression scheme", submitBody(`"Compression": "zstd"`)},
 		{"dropped compression spelling", submitBody(`"Compression": "warped"`)},
 		{"dropped Mode config key", submitBody(`"Mode": 0`)},
+		{"dropped SMEpoch config key", submitBody(`"SMEpoch": 4`)},
 		// The request-level aliases of config.SMParallel and
 		// config.Compression are gone; an old client gets a 400, never a
 		// silently different job.

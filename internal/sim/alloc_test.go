@@ -142,10 +142,9 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 						break
 					}
 				}
-				// The epoch barrier the GPU loop would run: drain the
-				// commit log every cycle (SMEpoch=1) so its steady-state
-				// cost — append into a warm slice, overlay clear,
-				// Store32 — is measured too.
+				// The commit the GPU loop runs at the end of every
+				// cycle, so its steady-state cost — append into a warm
+				// slice, Store32 — is measured too.
 				sm.commitMemLog()
 			}
 			// Warm-up: grow every pool and scratch buffer to

@@ -97,21 +97,12 @@ type Config struct {
 
 	// SMParallel shards the per-cycle SM loop across worker goroutines: each
 	// worker owns a contiguous slice of SMs and global-memory effects commit
-	// at epoch barriers in SM-id order, so results are byte-identical at
-	// every shard count. 0 (the default) means min(GOMAXPROCS, NumSMs); a
-	// positive value is clamped to NumSMs. SMParallel never changes results,
-	// so it is exempt from the configuration signature.
+	// at the end of every cycle in SM-id order, so results are
+	// byte-identical at every shard count. 0 (the default) means
+	// min(GOMAXPROCS, NumSMs); a positive value is clamped to NumSMs.
+	// SMParallel never changes results, so it is exempt from the
+	// configuration signature.
 	SMParallel int
-
-	// SMEpoch is the number of cycles each shard simulates between global
-	// commit barriers. 0 (the default) means 1: commit every cycle, the
-	// configuration whose results are byte-identical to the original
-	// sequential engine. Larger epochs amortize barrier cost but change
-	// timing (CTA dispatch and idle detection happen only at epoch
-	// boundaries), so SMEpoch participates in the configuration signature.
-	// Deferred atomics must resolve before the pipeline consumes their old
-	// values, which bounds SMEpoch to at most GlobalLatency.
-	SMEpoch int
 }
 
 // DefaultConfig returns paper Table 2 with warped-compression enabled.
@@ -228,10 +219,6 @@ func (c *Config) Validate() error {
 		return &ConfigError{"Faults.Redirect", "RRCD redirection needs compression (only compressed registers can move banks)"}
 	case c.SMParallel < 0:
 		return &ConfigError{"SMParallel", "negative shard count (0 selects GOMAXPROCS)"}
-	case c.SMEpoch < 0:
-		return &ConfigError{"SMEpoch", "negative epoch length (0 selects 1 cycle)"}
-	case c.SMEpoch > c.GlobalLatency:
-		return &ConfigError{"SMEpoch", fmt.Sprintf("epoch of %d cycles exceeds GlobalLatency %d (deferred atomics must commit before the pipeline consumes their old values)", c.SMEpoch, c.GlobalLatency)}
 	}
 	return c.Faults.Validate(regfile.NumBanks)
 }

@@ -27,11 +27,10 @@ import (
 // entry runs corrupted kernels to completion) with and without
 // redirection, the write characterization, the L1 ablation, the smallest
 // legal memory pipe, slow bank wakeups (alone and overlapping drowsy
-// accounting), multi-cycle epochs (alone, and on two SMs holding one CTA
-// each, so that CTAs keep arriving at epoch boundaries on SMs that went
-// idle inside the epoch — no Small grid outlasts one dispatch round on 15
-// SMs) and sharding. Together they reach every wait state of the timing
-// pipeline.
+// accounting), two SMs holding one CTA each (so CTAs keep arriving, all
+// launch long, on SMs that went idle or to sleep — no Small grid outlasts
+// one dispatch round on 15 SMs) and sharding. Together they reach
+// every wait state of the timing pipeline.
 var digestConfigs = []struct {
 	name string
 	mut  func(c *Config)
@@ -56,8 +55,7 @@ var digestConfigs = []struct {
 	{"l1off", func(c *Config) { c.L1SizeKB = 0 }},
 	{"inflight32", func(c *Config) { c.GlobalMaxInflight = 32 }},
 	{"wakeup40", func(c *Config) { c.BankWakeupLatency = 40 }},
-	{"epoch4", func(c *Config) { c.SMEpoch = 4 }},
-	{"sm2-cta1-epoch4", func(c *Config) { c.NumSMs = 2; c.MaxCTAsPerSM = 1; c.SMEpoch = 4 }},
+	{"sm2-cta1", func(c *Config) { c.NumSMs = 2; c.MaxCTAsPerSM = 1 }},
 	{"shard2", func(c *Config) { c.SMParallel = 2 }},
 }
 

@@ -103,10 +103,11 @@ func (s *SM) operand(w *Warp, o isa.Operand, lane int) uint32 {
 // res.unchanged reports that every executed lane produced the value the
 // register already held — the encoding memo key (see SM.chooseEnc).
 //
-// Global-memory effects are epoch-buffered (shard.go): loads read the
-// epoch-start memory image overlaid with this SM's own buffered stores,
-// stores append to the commit log, and atomics capture their addresses and
-// addends for the barrier to resolve serially in SM-id order.
+// Global-memory effects are buffered until the end of the cycle (shard.go):
+// loads read the memory image the last commit left, overlaid with this
+// SM's own buffered stores, stores append to the commit log, and atomics
+// capture their addresses and addends for the barrier to resolve serially
+// in SM-id order.
 func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *inflight) error {
 	res := &f.res
 	t := w.tos()
@@ -211,10 +212,10 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 		res.dstVals = &w.regBuf[in.Dst]
 		// Address computation, bounds checks and the trace note happen at
 		// issue in lane order; the read-modify-writes are deferred to the
-		// epoch barrier (SM.resolveAtom), which fills res.dstVals and
-		// res.unchanged before the pipeline consumes them. The destination
-		// register stays scoreboarded until the write commits, so nothing
-		// observes the not-yet-resolved old values.
+		// barrier that ends the cycle (SM.resolveAtom), which fills
+		// res.dstVals and res.unchanged before the pipeline consumes them.
+		// The destination register stays scoreboarded until the write
+		// commits, so nothing observes the not-yet-resolved old values.
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			if eff&(1<<lane) == 0 {
 				continue
@@ -251,7 +252,7 @@ func (s *SM) execute(w *Warp, in *isa.Instr, pc int32, active, eff uint32, f *in
 			if in.Op == isa.OpStG {
 				// Validated now so the error surfaces at issue with the
 				// sequential engine's exact attribution; the write itself
-				// buffers until the epoch barrier.
+				// buffers until the end of the cycle.
 				if err = s.gpu.mem.Check32(addr); err == nil {
 					s.bufferStore(addr, v)
 				}
@@ -335,27 +336,28 @@ func atomicConflictDegree(addrs *[isa.WarpSize]uint32, mask uint32) int {
 	return deg
 }
 
-// loadGlobal reads device memory as this SM observes it mid-epoch: its own
-// buffered stores (the overlay) over the epoch-start memory image. Other
-// SMs' same-epoch stores become visible at the next barrier. The only
-// divergence from the sequential engine is a load racing a *same-cycle*
-// store from another SM — inherently schedule-dependent code that record
-// mode already rejects as untraceable; every cross-cycle communication
-// pattern is byte-identical.
+// loadGlobal reads device memory as this SM observes it mid-cycle: the
+// last of its own buffered plain stores to addr, else the memory image the
+// last commit left. The log holds only this cycle's entries (at most
+// SchedulersPerSM x 32 stores), so the scan is short. Other SMs'
+// same-cycle stores become visible at the next commit. The only divergence
+// from the sequential engine is a load racing a same-cycle store from
+// another SM — inherently schedule-dependent code that record mode already
+// rejects as untraceable; every cross-cycle communication pattern is
+// byte-identical.
 func (s *SM) loadGlobal(addr uint32) (uint32, error) {
-	if len(s.memOverlay) > 0 {
-		if v, ok := s.memOverlay[addr]; ok {
-			return v, nil
+	for i := len(s.memLog) - 1; i >= 0; i-- {
+		if op := &s.memLog[i]; op.atom == nil && op.addr == addr {
+			return op.val, nil
 		}
 	}
 	return s.gpu.mem.Load32(addr)
 }
 
-// bufferStore logs a validated global store for the epoch barrier and makes
-// it visible to this SM's own subsequent loads.
+// bufferStore logs a validated global store for the commit that ends the
+// cycle; until then only this SM's own loads see it.
 func (s *SM) bufferStore(addr, val uint32) {
 	s.memLog = append(s.memLog, memOp{addr: addr, val: val})
-	s.memOverlay[addr] = val
 }
 
 // loadShared reads the CTA's shared memory slab.

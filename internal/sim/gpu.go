@@ -160,71 +160,54 @@ func (g *GPU) run(ctx context.Context, l isa.Launch, beat *atomic.Uint64) (*Resu
 		sm.reset(l)
 	}
 	// Back the allocator's high-water mark up front: during the parallel
-	// phase global memory is read-only (stores commit at epoch barriers),
-	// so the backing slice must not grow under a concurrent load.
+	// phase global memory is read-only (stores commit at the end of each
+	// cycle), so the backing slice must not grow under a concurrent load.
 	g.mem.Presize()
 
-	epoch := uint64(g.cfg.SMEpoch)
-	if epoch == 0 {
-		epoch = 1
-	}
 	pool := newShardPool(g, g.shardCount())
 	defer pool.stop()
 
 	nextCTA := 0
 	numCTAs := l.NumCTAs()
-	c0 := uint64(1) // first cycle of the current epoch
+	cycle := uint64(1)
 	for {
-		// Round-robin CTA dispatch (one attempt per SM per epoch keeps
-		// the dispatcher simple and fair; at the default 1-cycle epoch
-		// this is the sequential engine's per-cycle dispatch exactly).
+		// Round-robin CTA dispatch, one attempt per SM per cycle.
 		for _, sm := range g.sms {
 			if nextCTA >= numCTAs {
 				break
 			}
-			if sm.tryLaunchCTA(nextCTA, c0) {
+			if sm.tryLaunchCTA(nextCTA, cycle) {
 				nextCTA++
 			}
 		}
-		for _, sm := range g.sms {
-			if sm.err != nil && sm.errCycle == 0 {
-				sm.errCycle = c0 // dispatch-phase failure (warp allocation)
-			}
-		}
 
-		pool.runEpoch(c0, epoch)
+		pool.runCycle(cycle)
 
-		if err := g.epochErr(); err != nil {
+		if err := g.cycleErr(cycle); err != nil {
 			return nil, err // run abandoned; buffered effects stay uncommitted
 		}
-		g.commitEpoch()
+		g.commit()
 
 		busy := nextCTA < numCTAs
 		for _, sm := range g.sms {
 			busy = busy || sm.busy()
 		}
 		if !busy {
-			c0 += epoch - 1 // the launch drained within this epoch
 			break
 		}
-		next := c0 + epoch
-		// Poll once per epoch when a cancelCheckInterval boundary falls
-		// inside it; the reported cycle is that boundary, matching the
-		// sequential engine's per-cycle modulo check at 1-cycle epochs.
-		if m := next / cancelCheckInterval * cancelCheckInterval; m > c0 {
+		cycle++
+		if cycle%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: canceled at cycle %d: %w", m, err)
+				return nil, fmt.Errorf("sim: canceled at cycle %d: %w", cycle, err)
 			}
 			if beat != nil {
 				beat.Store(pool.issuedTotal())
 			}
 		}
-		if next > g.cfg.MaxCycles {
+		if cycle > g.cfg.MaxCycles {
 			return nil, fmt.Errorf("%w: %d cycles (deadlock or runaway kernel?)", ErrMaxCycles, g.cfg.MaxCycles)
 		}
-		c0 = next
 	}
-	cycle := c0
 
 	// Drain invariants: a completed launch must leave no residue. A
 	// violation is a simulator bug, never a workload property.

@@ -47,7 +47,7 @@ type inflight struct {
 	readyAt      uint64 // current stage's completion cycle
 
 	// Deferred-atomic state (shard.go): addends captured at issue for the
-	// epoch barrier to apply, and — in replay mode — this instruction's
+	// barrier that ends the cycle to apply, and — in replay mode — this instruction's
 	// recorded per-lane operations.
 	atomAdds [isa.WarpSize]uint32
 	atoms    []exectrace.AtomOp

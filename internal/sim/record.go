@@ -17,7 +17,7 @@ import (
 // schedule-dependent — some global memory cell is accessed both atomically
 // and non-atomically, or plainly loaded by one warp and plainly stored by
 // another — so no warped.trace/v1 capture of it can replay correctly under
-// other configurations (SM count, CTA residency, epoch, L1 size, latencies).
+// other configurations (SM count, CTA residency, L1 size, latencies).
 // Callers fall back to execute mode. Test with errors.Is.
 var ErrUntraceable = errors.New("sim: launch not traceable: a global address is accessed both atomically and non-atomically, or loaded by one warp and stored by another")
 
@@ -32,7 +32,7 @@ var ErrUntraceable = errors.New("sim: launch not traceable: a global address is 
 // touches at issue lives in that SM's own recView or in the stream writer
 // of a warp resident on it (a CTA — and therefore a warp stream — belongs
 // to exactly one SM), and the shared atomSeen table is written only at the
-// serial epoch barrier.
+// serial barrier that ends each cycle.
 type recorder struct {
 	launch      *exectrace.Launch        // header; finish seals the streams into it
 	streams     []exectrace.StreamWriter // indexed ctaID*warpsPerCTA + warpInCTA
@@ -41,7 +41,7 @@ type recorder struct {
 	// atomSeen maps each atomically-touched address to the value it held
 	// the first time any atomic read it — its launch-time value, since
 	// atomics are the only writers of those cells during the launch.
-	// Written only from SM.resolveAtom at the epoch barrier.
+	// Written only from SM.resolveAtom at the barrier that ends each cycle.
 	atomSeen map[uint32]uint32
 
 	views []*recView // one per SM
@@ -159,8 +159,8 @@ func (v *recView) use(addr uint32) *cellUse {
 
 // noteAtom is called once execute has checked every executed lane of an
 // atomic: addrs are the target cells, adds the addends. The pre-values are
-// not known yet — the epoch barrier registers them into atomSeen when the
-// deferred atomic resolves.
+// not known yet — the barrier that ends the cycle registers them into
+// atomSeen when the deferred atomic resolves.
 func (v *recView) noteAtom(addrs, adds *[isa.WarpSize]uint32, eff uint32) {
 	for m := eff; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
@@ -210,7 +210,7 @@ func (v *recView) record(w *Warp, in *isa.Instr, pc int32, active, eff uint32, r
 		// the old-value vector (and the unchanged bit) against its shadow
 		// memory, so neither is stored — which also keeps trace bytes
 		// independent of the recording configuration (and lets record()
-		// run at issue, before the epoch barrier resolves the atomic).
+		// run at issue, before the barrier resolves the atomic).
 		atoms = v.pend
 	} else if res.writes {
 		if res.unchanged {

@@ -107,7 +107,7 @@ func (s *SM) replayStep(w *Warp, in *isa.Instr, f *inflight) {
 	case isa.OpAtomAdd:
 		res.dstVals = &w.regBuf[in.Dst]
 		// The cursor advances at issue; the shadow-memory
-		// read-modify-writes resolve at the epoch barrier
+		// read-modify-writes resolve at the barrier that ends the cycle
 		// (SM.resolveReplayAtom) in SM-id order — the same global order
 		// execute mode commits in, so the old-value vectors match. The
 		// shared shadow map is never touched from shard workers.

@@ -374,8 +374,8 @@ func TestRecordRejectsAtomicAliasing(t *testing.T) {
 }
 
 // TestRecordRejectsCrossWarpRace: a cell one warp loads while another warp
-// stores it has a schedule-dependent value stream — SM count, epoch and
-// latencies decide which value the load sees. Record refuses it with
+// stores it has a schedule-dependent value stream — SM count, CTA
+// residency and latencies decide which value the load sees. Record refuses it with
 // ErrUntraceable, whether both warps share an SM (the issue-time check) or
 // not (the merge in finish, which names the lowest racy address). A warp
 // that loads and stores only its own cells stays traceable.

@@ -8,7 +8,7 @@ import (
 	"repro/internal/isa"
 )
 
-// TestSchemeShardInvariance extends the epoch-barrier determinism oracle
+// TestSchemeShardInvariance extends the per-cycle-commit determinism oracle
 // across the compression backends: for every registered scheme the atomic
 // hammer must produce byte-identical result documents at every SM shard
 // count. (Per-scheme replay==execute is covered by TestReplayMatchesExecute

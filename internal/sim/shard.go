@@ -13,20 +13,19 @@ import (
 //
 // SMs interact only through global memory, so the per-cycle SM loop shards
 // across a persistent worker pool: each worker owns a contiguous slice of
-// SMs and steps them for an epoch (SMEpoch cycles, default 1). During the
-// parallel phase global memory is read-only — stores and atomics buffer in
-// per-SM commit logs, and each SM's own loads see its own buffered stores
-// through an overlay map. At the epoch barrier the coordinator applies the
-// logs serially in SM-id order, which is exactly the order the sequential
-// engine interleaved them, so results are byte-identical at every shard
-// count. Atomics are fully deferred: addresses and addends are captured at
-// issue, and the barrier performs the read-modify-writes and fills the
-// old-value vectors before the timing pipeline consumes them (guaranteed by
-// Validate's SMEpoch <= GlobalLatency bound — an atomic's destination stays
-// scoreboarded until its write commits, at least GlobalLatency cycles after
-// issue).
+// SMs and steps them through one cycle per release. During the parallel
+// phase global memory is read-only — stores and atomics buffer in per-SM
+// commit logs, and each SM's own loads see its own buffered stores by
+// scanning its log. At the barrier that ends every cycle the coordinator
+// applies the logs serially in SM-id order, which is exactly the order the
+// sequential engine interleaved them, so results are byte-identical at
+// every shard count. Atomics are fully deferred: addresses and addends are
+// captured at issue, and the barrier ending the issuing cycle performs the
+// read-modify-writes and fills the old-value vectors. Nothing reads those
+// before then: an atomic's destination stays scoreboarded until its write
+// commits, at least GlobalLatency >= 1 cycles after issue.
 
-// memOp is one entry of an SM's per-epoch commit log, in issue order. A
+// memOp is one entry of an SM's per-cycle commit log, in issue order. A
 // plain global store carries (addr, val); a deferred atomic carries the
 // inflight record whose lanes the barrier resolves against real memory.
 type memOp struct {
@@ -36,7 +35,7 @@ type memOp struct {
 }
 
 // spinBudget is how many times a barrier spin-loop polls before yielding
-// the processor. Epochs are microseconds long, so a short spin usually
+// the processor. A cycle is microseconds long, so a short spin usually
 // wins; Gosched keeps single-core machines (and oversubscribed runs) live.
 const spinBudget = 64
 
@@ -45,41 +44,31 @@ type shard struct {
 	sms    []*SM
 	issued uint64 // instructions issued by this shard's SMs (heartbeat sum)
 
-	// Epoch parameters, written by the coordinator before each release.
-	c0 uint64 // first cycle of the epoch
-	n  uint64 // cycles in the epoch
-
 	done     atomic.Uint64 // barrier generation the worker last completed
 	panicked any           // recovered worker panic, re-raised by the coordinator
 }
 
-// runEpoch steps every SM of the shard through cycles [c0, c0+n). An SM
-// that raised an error stops stepping; the cycle it failed at is kept for
-// the coordinator's deterministic first-error selection.
-func (sh *shard) runEpoch() {
-	end := sh.c0 + sh.n
-	for c := sh.c0; c < end; c++ {
-		for _, sm := range sh.sms {
-			if sm.err != nil || sm.asleep(c) {
-				continue
-			}
-			sm.step(c)
-			if sm.err != nil {
-				sm.errCycle = c
-			}
+// runCycle steps every awake SM of the shard through cycle c. An SM whose
+// CTA dispatch failed this cycle is not stepped, so its error stands.
+func (sh *shard) runCycle(c uint64) {
+	for _, sm := range sh.sms {
+		if sm.err != nil || sm.asleep(c) {
+			continue
 		}
+		sm.step(c)
 	}
 }
 
 // shardPool is the persistent worker pool of one simulation run: shard 0
 // runs inline on the coordinator goroutine, shards 1..P-1 each get a worker
-// goroutine. Epochs are released and joined through a generation-counted
+// goroutine. Cycles are released and joined through a generation-counted
 // spin barrier (atomic loads/stores establish the happens-before edges that
 // make each worker the sole owner of its SMs during the parallel phase and
 // hand the commit logs to the coordinator at the barrier).
 type shardPool struct {
 	shards []*shard
-	phase  atomic.Uint64 // generation workers wait on; bumped to release an epoch
+	phase  atomic.Uint64 // generation workers wait on; bumped to release a cycle
+	cycle  uint64        // the released cycle; written before each phase bump
 	quit   bool          // written before the final phase bump; workers exit on it
 }
 
@@ -114,7 +103,7 @@ func newShardPool(g *GPU, nshards int) *shardPool {
 }
 
 // worker is the loop of one non-coordinator shard: wait for a release, run
-// the epoch, report done. A panic is captured for the coordinator to
+// the cycle, report done. A panic is captured for the coordinator to
 // re-raise on the job goroutine (where the engine's panic isolation lives);
 // the worker still reaches the barrier so nothing deadlocks.
 func (p *shardPool) worker(sh *shard) {
@@ -136,28 +125,25 @@ func (p *shardPool) worker(sh *shard) {
 					sh.panicked = v
 				}
 			}()
-			sh.runEpoch()
+			sh.runCycle(p.cycle)
 		}()
 		sh.done.Store(gen)
 	}
 }
 
-// runEpoch releases every shard for cycles [c0, c0+n), runs shard 0 on the
-// calling goroutine, and blocks until all shards reach the barrier. Worker
-// panics are re-raised here, lowest shard first.
-func (p *shardPool) runEpoch(c0, n uint64) {
+// runCycle releases every shard for cycle c, runs shard 0 on the calling
+// goroutine, and blocks until all shards reach the barrier. Worker panics
+// are re-raised here, lowest shard first.
+func (p *shardPool) runCycle(c uint64) {
 	sh0 := p.shards[0]
-	sh0.c0, sh0.n = c0, n
 	if len(p.shards) == 1 {
-		sh0.runEpoch()
+		sh0.runCycle(c)
 		return
 	}
-	for _, sh := range p.shards[1:] {
-		sh.c0, sh.n = c0, n
-	}
+	p.cycle = c
 	gen := p.phase.Load() + 1
 	p.phase.Store(gen)
-	sh0.runEpoch()
+	sh0.runCycle(c)
 	p.waitDone(gen)
 	for _, sh := range p.shards[1:] {
 		if v := sh.panicked; v != nil {
@@ -178,8 +164,8 @@ func (p *shardPool) waitDone(gen uint64) {
 	}
 }
 
-// stop retires the worker goroutines. Safe to call while an epoch is in
-// flight (e.g. unwinding past a shard-0 panic): it joins the open epoch
+// stop retires the worker goroutines. Safe to call while a cycle is in
+// flight (e.g. unwinding past a shard-0 panic): it joins the open cycle
 // first, then releases the workers one final time with quit set.
 func (p *shardPool) stop() {
 	if len(p.shards) == 1 {
@@ -219,29 +205,23 @@ func (g *GPU) shardCount() int {
 	return p
 }
 
-// epochErr selects the deterministic first error of an epoch: the lowest
-// (cycle, SM id) failure — exactly the error the sequential engine would
-// have returned, at every shard count.
-func (g *GPU) epochErr() error {
-	var bad *SM
+// cycleErr selects the deterministic first error of cycle c: the
+// lowest-numbered SM that holds one — exactly the error the sequential
+// engine would have returned, at every shard count. An error ends the run,
+// so every error an SM holds was raised in c.
+func (g *GPU) cycleErr(c uint64) error {
 	for _, sm := range g.sms {
-		if sm.err == nil {
-			continue
-		}
-		if bad == nil || sm.errCycle < bad.errCycle {
-			bad = sm
+		if sm.err != nil {
+			return fmt.Errorf("sim: SM %d, cycle %d: %w", sm.id, c, sm.err)
 		}
 	}
-	if bad == nil {
-		return nil
-	}
-	return fmt.Errorf("sim: SM %d, cycle %d: %w", bad.id, bad.errCycle, bad.err)
+	return nil
 }
 
-// commitEpoch applies every SM's buffered global-memory effects in SM-id
-// order — the serial phase that makes sharded results byte-identical to the
+// commit applies every SM's buffered global-memory effects in SM-id order
+// — the serial phase that makes sharded results byte-identical to the
 // sequential engine's.
-func (g *GPU) commitEpoch() {
+func (g *GPU) commit() {
 	for _, sm := range g.sms {
 		sm.commitMemLog()
 	}
@@ -249,28 +229,23 @@ func (g *GPU) commitEpoch() {
 
 // commitMemLog drains this SM's commit log in issue order: plain stores
 // write through, deferred atomics resolve their read-modify-writes. Runs
-// only on the coordinator goroutine, between epochs.
+// only on the coordinator goroutine, between cycles.
 func (s *SM) commitMemLog() {
-	if len(s.memLog) > 0 {
-		gmem := s.gpu.mem
-		for i := range s.memLog {
-			op := &s.memLog[i]
-			if op.atom == nil {
-				// Checked at issue; a checked store cannot fail.
-				_ = gmem.Store32(op.addr, op.val)
-				continue
-			}
-			if s.gpu.rp != nil {
-				s.resolveReplayAtom(op.atom)
-			} else {
-				s.resolveAtom(op.atom)
-			}
+	gmem := s.gpu.mem
+	for i := range s.memLog {
+		op := &s.memLog[i]
+		if op.atom == nil {
+			// Checked at issue; a checked store cannot fail.
+			_ = gmem.Store32(op.addr, op.val)
+			continue
 		}
-		s.memLog = s.memLog[:0]
+		if s.gpu.rp != nil {
+			s.resolveReplayAtom(op.atom)
+		} else {
+			s.resolveAtom(op.atom)
+		}
 	}
-	if len(s.memOverlay) > 0 {
-		clear(s.memOverlay)
-	}
+	s.memLog = s.memLog[:0]
 }
 
 // resolveAtom performs a deferred atom.add against real global memory.

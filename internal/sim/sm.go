@@ -78,21 +78,16 @@ type SM struct {
 	sleepFrom   uint64
 	sleepStalls [3]uint64
 
-	// Epoch-commit state (shard.go): global stores and deferred atomics
-	// buffer in memLog during the parallel phase and apply at the epoch
-	// barrier in SM-id order; memOverlay makes the SM's own buffered
-	// stores visible to its own loads within the epoch. issuedCtr points
-	// at the owning shard's instruction counter (the O(shards) heartbeat);
-	// errCycle records when err was raised, for the coordinator's
-	// deterministic first-error selection.
-	memLog     []memOp
-	memOverlay map[uint32]uint32
-	issuedCtr  *uint64
-	errCycle   uint64
-	recv       *recView // this SM's recorder view; nil unless recording
+	// Commit state (shard.go): global stores and deferred atomics buffer
+	// in memLog during the parallel phase and apply at the barrier that
+	// ends the cycle, in SM-id order. issuedCtr points at the owning
+	// shard's instruction counter (the O(shards) heartbeat).
+	memLog    []memOp
+	issuedCtr *uint64
+	recv      *recView // this SM's recorder view; nil unless recording
 
 	// Scratch arenas, owned exclusively by this SM (each SM is stepped by
-	// exactly one shard worker per epoch, and the experiment engine gives
+	// exactly one shard worker per cycle, and the experiment engine gives
 	// every job its own GPU, so no locking is needed; `go test -race`
 	// guards the invariant). They make the steady-state cycle path
 	// allocation-free:
@@ -165,8 +160,7 @@ func newSM(id int, gpu *GPU) *SM {
 		decomp:   core.NewUnitPool(cfg.Decompressors, cfg.DecompressLatency),
 		memPipe:  mem.NewPipe(cfg.GlobalLatency, cfg.GlobalMaxInflight),
 
-		memOverlay: make(map[uint32]uint32),
-		issuedCtr:  new(uint64), // run() retargets to the owning shard
+		issuedCtr: new(uint64), // run() retargets to the owning shard
 	}
 	if cfg.Faults.Enabled() {
 		s.inj = faults.NewInjector(cfg.Faults, id, regfile.NumBanks)
@@ -221,11 +215,7 @@ func (s *SM) reset(l isa.Launch) {
 	s.collectorsInUse = 0
 	s.wakeAt, s.sleepFrom = 0, 0
 	s.err = nil
-	s.errCycle = 0
 	s.memLog = s.memLog[:0]
-	if len(s.memOverlay) > 0 {
-		clear(s.memOverlay)
-	}
 	s.recv = nil
 	if s.gpu.rec != nil {
 		s.recv = s.gpu.rec.views[s.id]

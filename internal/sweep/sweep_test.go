@@ -110,6 +110,7 @@ func TestSpecValidation(t *testing.T) {
 		{`{"name": "x", "benchmarks": ["bfs"], "base": {"NoSuchField": 1}}`, "NoSuchField"},
 		{`{"name": "x", "benchmarks": ["bfs"], "base": {"NumSMs": 0}}`, "NumSMs"},
 		{`{"name": "x", "benchmarks": ["bfs"], "base": {"Mode": 0}}`, "Mode"},
+		{`{"name": "x", "benchmarks": ["bfs"], "base": {"SMEpoch": 4}}`, "SMEpoch"},
 		{`{"name": "x", "benchmarks": ["bfs"], "grid": {"Compression": ["bdi", "only40"]}}`, "have off, bdi, bdi-40, bdi-41, bdi-42, fpc, static"},
 		{`{"name": "x", "benchmarks": ["bfs"], "typo": true}`, "typo"},
 		{`{"name": "x", "benchmarks": ["bfs"], "configs": [{"name": "CompressLatency=1"}], "grid": {"CompressLatency": [1]}}`, "collides"},
